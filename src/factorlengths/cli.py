@@ -275,9 +275,6 @@ def main(argv=None) -> int:
     except (InvalidGenerators, NotInSemigroup, invariants.EmptyMultisetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except factorization.EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .invariants import mean_length, median_length, mode
 from .semigroup import (
     NotInSemigroup,
     Semigroup,
-    membership_table,
+    contains,
     trade_data,
 )
 
@@ -51,12 +51,11 @@ class SweepResult:
 def default_grid(S: Semigroup, targets: Sequence[int] = (100, 1_000, 10_000, 100_000)) -> list[int]:
     """Geometric sample points snapped to the nearest semigroup element."""
     hi = max(targets) + max(S.gens) + 1
-    table = membership_table(S, hi)
     grid = []
     for target in targets:
         for offset in range(hi):
             for cand in (target - offset, target + offset):
-                if 0 <= cand <= hi and table[cand]:
+                if cand <= hi and contains(S, cand):
                     break
             else:
                 continue
@@ -165,12 +164,11 @@ def verify_mode_theorem(S: Semigroup, n_max: int) -> ModeTheoremReport:
     trade = trade_data(S)
     t = trade.element
     shift = t // S.gens[1]
-    table = membership_table(S, n_max + t)
     failures: list[tuple[int, str]] = []
     residuals: dict[int, Fraction] = {}
     checked = 0
     for n in range(n_max + 1):
-        if not table[n]:
+        if not contains(S, n):
             continue
         checked += 1
         lengths, freq = mode(length_multiset(S, n))
@@ -198,15 +196,15 @@ def verify_mode_theorem(S: Semigroup, n_max: int) -> ModeTheoremReport:
 
 def end_gaps(S: Semigroup, n: int) -> tuple[list[int], list[int]]:
     """Missing lengths of the arithmetic progression, split low end / high end."""
-    delta = trade_data(S).delta if S.k == 3 else S.delta
-    ms = length_multiset(S, n)
-    lo, hi = ms.min_length, ms.max_length
-    progression = range(lo, hi + 1, delta)
-    present = ms.entries
+    return _missing_ends(length_multiset(S, n), S.delta)
+
+
+def _missing_ends(ms: LengthMultiset, delta: int) -> tuple[list[int], list[int]]:
+    progression = range(ms.min_length, ms.max_length + 1, delta)
     count = len(progression)
     low_missing, high_missing = [], []
     for idx, ell in enumerate(progression):
-        if ell not in present:
+        if ell not in ms.entries:
             (low_missing if idx < count / 2 else high_missing).append(ell)
     return low_missing, high_missing
 
@@ -248,13 +246,12 @@ def verify_structure_theorem(S: Semigroup, n_lo: int, n_hi: int) -> StructureRep
     extent seen in the second half of the window never exceeds the first half."""
     if S.k != 3:
         raise ValueError("structure check requires 3 generators")
-    delta = trade_data(S).delta
-    table = membership_table(S, n_hi)
+    delta = S.delta
     violations: list[tuple[int, str]] = []
     extents: list[tuple[int, int]] = []
     checked = 0
     for n in range(n_lo, n_hi + 1):
-        if not table[n]:
+        if not contains(S, n):
             continue
         checked += 1
         ms = length_multiset(S, n)
@@ -262,16 +259,11 @@ def verify_structure_theorem(S: Semigroup, n_lo: int, n_hi: int) -> StructureRep
         off_grid = [ell for ell in ms.support() if (ell - lo) % delta]
         if off_grid:
             violations.append((n, f"lengths off the delta grid: {off_grid[:4]}"))
-        progression = range(lo, hi + 1, delta)
-        count = len(progression)
-        low_ext = high_ext = 0
-        for idx, ell in enumerate(progression):
-            if ell not in ms.entries:
-                if idx < count / 2:
-                    low_ext = max(low_ext, idx + 1)
-                else:
-                    high_ext = max(high_ext, count - idx)
-        extents.append((low_ext, high_ext))
+        low_missing, high_missing = _missing_ends(ms, delta)
+        extents.append((
+            (low_missing[-1] - lo) // delta + 1 if low_missing else 0,
+            (hi - high_missing[0]) // delta + 1 if high_missing else 0,
+        ))
     half = len(extents) // 2
     bounded = bool(extents) and (
         max((e[0] for e in extents[half:]), default=0)
@@ -527,11 +519,10 @@ def extreme_length_steps(S: Semigroup, n_lo: int, count: int) -> tuple[bool, Opt
     exactly 1 per +nk.  Returns (ok, first offending n)."""
     n1, nk = S.gens[0], S.gens[-1]
     hi_bound = n_lo + count * 2 + n1 * nk * 6
-    table = membership_table(S, hi_bound + nk)
     seen = 0
     n = n_lo
     while seen < count and n <= hi_bound:
-        if table[n]:
+        if contains(S, n):
             seen += 1
             lo_len, hi_len = min_max_length(S, n)
             lo_next, _ = min_max_length(S, n + nk)

@@ -64,12 +64,21 @@ class Semigroup:
         return math.gcd(*diffs)
 
     @cached_property
+    def apery(self) -> list[int]:
+        """Apery set with respect to n1: apery[r] is the least element of S
+        congruent to r mod n1."""
+        return _apery(self.gens, self.gens[0])
+
+    @cached_property
     def is_minimal(self) -> bool:
-        """True when no generator is representable by the remaining ones."""
-        return not any(
-            _representable(self.gens[:i] + self.gens[i + 1 :], g)
-            for i, g in enumerate(self.gens)
-        )
+        """True when no generator is representable by the smaller ones (n1
+        never is, so only n2..nk are tested)."""
+        n1 = self.gens[0]
+        for i in range(1, self.k):
+            least = _apery(self.gens[:i], n1)[self.gens[i] % n1]
+            if least is not None and least <= self.gens[i]:
+                return False
+        return True
 
     def __str__(self) -> str:
         return "<" + ", ".join(map(str, self.gens)) + ">"
@@ -90,38 +99,38 @@ def parse_semigroup(text: str) -> Semigroup:
     return make_semigroup(gens)
 
 
-def _representable(gens: tuple[int, ...], n: int) -> bool:
-    """Is n a nonnegative integer combination of gens (no gcd requirement)?"""
-    if n < 0:
-        return False
-    reachable = bytearray(n + 1)
-    reachable[0] = 1
-    for v in range(1, n + 1):
-        for g in gens:
-            if g <= v and reachable[v - g]:
-                reachable[v] = 1
-                break
-    return bool(reachable[n])
+def _apery(gens: tuple[int, ...], m: int) -> list[int | None]:
+    """Least element of the monoid <gens> in each residue class mod m, or None
+    when the class is empty (no gcd requirement on gens).
 
-
-def membership_table(S: Semigroup, hi: int) -> bytearray:
-    """Reachability table: table[n] == 1 iff n in S, for 0 <= n <= hi."""
-    table = bytearray(hi + 1)
-    table[0] = 1
-    gens = S.gens
-    for v in range(1, hi + 1):
-        for g in gens:
-            if g <= v and table[v - g]:
-                table[v] = 1
-                break
-    return table
+    Round-robin pass (Boecker & Liptak 2007): adding generator g joins the
+    residues into gcd(g, m) cycles under +g; walking each cycle once from
+    its least entry relaxes every class along it, so each generator costs
+    O(m).
+    """
+    least: list[int | None] = [None] * m
+    least[0] = 0
+    for g in gens:
+        d = math.gcd(g, m)
+        for r in range(d):
+            cycle = [q for q in range(r, m, d) if least[q] is not None]
+            if not cycle:
+                continue
+            q = min(cycle, key=least.__getitem__)
+            value = least[q]
+            for _ in range(m // d - 1):
+                q = (q + g) % m
+                value += g
+                if least[q] is None or least[q] > value:
+                    least[q] = value
+                else:
+                    value = least[q]
+    return least
 
 
 def contains(S: Semigroup, n: int) -> bool:
-    """Membership via the reachability table up to n."""
-    if n < 0:
-        return False
-    return bool(membership_table(S, n)[n])
+    """Membership by one Apery-set lookup: n in S iff n >= apery[n mod n1]."""
+    return n >= 0 and n >= S.apery[n % S.gens[0]]
 
 
 def trade_data(S: Semigroup) -> TradeData:

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism, round trips."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -222,3 +223,30 @@ class TestOutputPlumbing:
         _, first, _ = run(capsys, "asymptotics", "-s", "48,49,50")
         _, second, _ = run(capsys, "asymptotics", "-s", "48,49,50")
         assert first == second
+
+
+class TestGoldenBytes:
+    """Exact stdout bytes of documented command lines, pinned by SHA-256 so
+    refactors of the code paths behind them cannot change any output."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("sweep -s 3,5,7",
+             "a45675ab2567e754e3c4664a0584a2944057d206daaf726f0a87d5d997cddfd8"),
+            ("sweep -s 48,49,50",
+             "7e40aec3cb5dcb7d4859bf91f161c2988a21b4821a07626268fd9ced049a918e"),
+            ("sweep -s 3,4,6",
+             "610409b10c3ec48f21fc26c286f69041f419b6de4bedb51bf9145470fe3b630b"),
+            ("verify mode -s 6,9,20 --n-max 2000",
+             "a8c58ccb70f12e252e83ab9a911cc9b2df79382f6305902a673f2f32ca08bf45"),
+            ("verify structure -s 6,9,20",
+             "686f2179329afa3a839796d8d33177da357628290f961b854c367e15fbd82162"),
+            ("verify structure -s 7,16,25",
+             "4b2e0b79502d8a972c07c74416717577982cca4ffbe32eac9397697c87a8d0c1"),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -11,13 +11,12 @@ from factorlengths.semigroup import (
     Semigroup,
     contains,
     make_semigroup,
-    membership_table,
     parse_semigroup,
     semigroup_to_json,
     trade_data,
 )
 
-from oracles import brute_minimal_trade, random_semigroup_3
+from oracles import brute_length_counter, brute_minimal_trade, random_semigroup_3
 
 
 class TestValidation:
@@ -63,6 +62,8 @@ class TestValidation:
         assert make_semigroup([3, 5, 7]).is_minimal
         assert not make_semigroup([3, 5, 8]).is_minimal  # 8 = 3 + 5
         assert not make_semigroup([2, 3, 4]).is_minimal  # 4 = 2 + 2
+        assert make_semigroup([4, 6, 9]).is_minimal  # 9 is odd, <4, 6> is even
+        assert not make_semigroup([4, 6, 9, 10]).is_minimal  # 10 = 4 + 6
 
 
 class TestMembership:
@@ -72,13 +73,29 @@ class TestMembership:
         assert contains(S, 0)
         assert not contains(S, 7)
         assert not contains(S, -1)
+        assert not contains(S, 43)  # the Frobenius number
+        assert all(contains(S, n) for n in range(44, 50))
 
     @pytest.mark.parametrize("gens", [(6, 9, 20), (3, 5, 7)])
     def test_agrees_with_enumeration(self, gens):
         S = make_semigroup(gens)
-        table = membership_table(S, 500)
         for n in range(501):
-            assert bool(table[n]) == bool(factorizations(S, n)), n
+            assert contains(S, n) == bool(factorizations(S, n)), n
+
+    def test_agrees_with_brute_force_on_random_semigroups(self):
+        rng = random.Random(20261018)
+        for k in range(2, 6):
+            for _ in range(10):
+                while True:
+                    gens = tuple(sorted(rng.sample(range(4, 50), k)))
+                    if math.gcd(*gens) == 1:
+                        break
+                S = Semigroup(gens)
+                for n in range(301):
+                    assert contains(S, n) == bool(brute_length_counter(gens, n)), (gens, n)
+
+    def test_huge_element(self):
+        assert contains(make_semigroup([6, 9, 20]), 10**40) is True
 
 
 class TestTradeData:
