@@ -1,13 +1,7 @@
 """Exact factorization-length distributions for numerical semigroups."""
 
 from .exactnum import QuadNumber, Rational, compare_quadratics, is_prime, isqrt, quad_sqrt
-from .factorization import (
-    LengthMultiset,
-    count_factorizations,
-    factorizations,
-    length_multiset,
-    min_max_length,
-)
+from .factorization import LengthMultiset, length_multiset, min_max_length
 from .invariants import InvariantReport, invariant_report, mean_length, median_length, mode
 from .semigroup import (
     InvalidGenerators,
@@ -33,8 +27,6 @@ __all__ = [
     "TradeData",
     "compare_quadratics",
     "contains",
-    "count_factorizations",
-    "factorizations",
     "invariant_report",
     "is_prime",
     "isqrt",

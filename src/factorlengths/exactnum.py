@@ -10,6 +10,7 @@ touch floating point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -258,29 +259,28 @@ class QuadNumber:
     def sign(self) -> int:
         return _sign_single(self.a, self.b, self.m)
 
-    def __lt__(self, other) -> bool:
+    def _compare(self, other, accept) -> bool:
+        """accept(sign of self - other, 0); NotImplemented for foreign types.
+
+        Not functools.total_ordering: its derived <= and >= fall back to ==,
+        and dataclass equality is False against int and Fraction.
+        """
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return compare_quadratics(self, o) < 0
+        return accept(compare_quadratics(self, o), 0)
+
+    def __lt__(self, other) -> bool:
+        return self._compare(other, operator.lt)
 
     def __le__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return compare_quadratics(self, o) <= 0
+        return self._compare(other, operator.le)
 
     def __gt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return compare_quadratics(self, o) > 0
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return compare_quadratics(self, o) >= 0
+        return self._compare(other, operator.ge)
 
     def approx_fraction(self, digits: int = 30) -> Fraction:
         """Rational approximation accurate to ~digits decimal places."""

@@ -10,13 +10,13 @@ carries its window and thresholds so a run is reproducible from its output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .asymptotics import asymptotic_mean, asymptotic_median
 from .exactnum import QuadNumber
-from .factorization import LengthMultiset, length_multiset, min_max_length
+from .factorization import LengthMultiset, length_multiset
 from .invariants import mean_length, median_length, mode
 from .semigroup import (
     NotInSemigroup,
@@ -166,13 +166,15 @@ def verify_mode_theorem(S: Semigroup, n_max: int) -> ModeTheoremReport:
     shift = t // S.gens[1]
     failures: list[tuple[int, str]] = []
     residuals: dict[int, Fraction] = {}
+    ahead: dict[int, tuple[tuple[int, ...], int]] = {}  # modes of the elements in (n, n + t]
     checked = 0
     for n in range(n_max + 1):
         if not contains(S, n):
             continue
         checked += 1
-        lengths, freq = mode(length_multiset(S, n))
-        lengths_next, freq_next = mode(length_multiset(S, n + t))
+        lengths, freq = ahead.pop(n) if n in ahead else mode(length_multiset(S, n))
+        ahead[n + t] = mode(length_multiset(S, n + t))
+        lengths_next, freq_next = ahead[n + t]
         if freq_next != freq + 1:
             failures.append((n, f"frequency {freq} -> {freq_next}, expected +1"))
         if lengths_next != tuple(ell + shift for ell in lengths):
@@ -322,16 +324,7 @@ class QuasilinearityVerdict:
             "witness": self.witness,
             "start_threshold": self.start_threshold,
             "max_checks": self.max_checks,
-            "probes": [
-                {
-                    "period": p.period,
-                    "window": list(p.window),
-                    "checked": p.checked,
-                    "witness": p.witness,
-                    "window_exhausted": p.window_exhausted,
-                }
-                for p in self.probes
-            ],
+            "probes": [asdict(p) for p in self.probes],
         }
 
 
@@ -410,35 +403,20 @@ def probe_median_quasilinearity(
             )
         )
         if exhausted:
-            return QuasilinearityVerdict(
-                semigroup=S,
-                verdict="quasilinear",
-                period_tested=period,
-                window=(start, hi),
-                witness=None,
-                start_threshold=start,
-                max_checks=max_checks,
-                probes=tuple(probes),
-            )
-    if all(p.witness is not None for p in probes):
-        last = probes[-1]
-        return QuasilinearityVerdict(
-            semigroup=S,
-            verdict="not_quasilinear",
-            period_tested=last.period,
-            window=last.window,
-            witness=last.witness,
-            start_threshold=start,
-            max_checks=max_checks,
-            probes=tuple(probes),
-        )
-    undecided = next(p for p in probes if p.witness is None)
+            break
+    undecided = [p for p in probes if p.witness is None]
+    if probes[-1].window_exhausted:
+        verdict, decisive = "quasilinear", probes[-1]
+    elif undecided:
+        verdict, decisive = "inconclusive", undecided[0]
+    else:
+        verdict, decisive = "not_quasilinear", probes[-1]
     return QuasilinearityVerdict(
         semigroup=S,
-        verdict="inconclusive",
-        period_tested=undecided.period,
-        window=undecided.window,
-        witness=None,
+        verdict=verdict,
+        period_tested=decisive.period,
+        window=decisive.window,
+        witness=decisive.witness,
         start_threshold=start,
         max_checks=max_checks,
         probes=tuple(probes),
@@ -519,14 +497,23 @@ def extreme_length_steps(S: Semigroup, n_lo: int, count: int) -> tuple[bool, Opt
     exactly 1 per +nk.  Returns (ok, first offending n)."""
     n1, nk = S.gens[0], S.gens[-1]
     hi_bound = n_lo + count * 2 + n1 * nk * 6
+    ahead: dict[int, tuple[int, int]] = {}  # extremes of the elements in [n, n + nk]
+
+    def extremes(m: int) -> tuple[int, int]:
+        if m not in ahead:
+            ms = length_multiset(S, m)
+            ahead[m] = ms.min_length, ms.max_length
+        return ahead[m]
+
     seen = 0
     n = n_lo
     while seen < count and n <= hi_bound:
         if contains(S, n):
             seen += 1
-            lo_len, hi_len = min_max_length(S, n)
-            lo_next, _ = min_max_length(S, n + nk)
-            _, hi_next = min_max_length(S, n + n1)
+            lo_len, hi_len = extremes(n)
+            lo_next, _ = extremes(n + nk)
+            _, hi_next = extremes(n + n1)
+            del ahead[n]
             if hi_next != hi_len + 1 or lo_next != lo_len + 1:
                 return False, n
         n += 1

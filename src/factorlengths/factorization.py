@@ -1,17 +1,13 @@
-"""Factorization enumeration and exact length-multiset counting.
+"""Exact length-multiset counting.
 
-Two independent routes to the same data, kept deliberately separate:
+``length_multiset`` never materializes factorizations.  For each candidate
+length it counts lattice points on a line segment via one extended-gcd
+solve, so a multiset for n around 10**6 is still cheap.  With more than
+three generators the outer coefficients are enumerated and the three
+smallest generators are counted the same closed way.
 
-* ``factorizations`` enumerates coefficient tuples by bounded recursion,
-  descending in the coefficients of the largest generators (deterministic
-  order, suitable for golden tests).
-* ``length_multiset`` never materializes tuples.  For each candidate length
-  it counts lattice points on a line segment via one extended-gcd solve, so
-  a multiset for n around 10**6 is still cheap.  With more than three
-  generators the outer coefficients are enumerated and the three smallest
-  generators are counted the same closed way.
-
-The enumeration route is the test oracle for the counting route.
+The tuple enumerator that cross-checks this route lives with the other
+test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -20,10 +16,6 @@ import math
 from dataclasses import dataclass
 
 from .semigroup import NotInSemigroup, Semigroup
-
-
-class EnumerationCapExceeded(RuntimeError):
-    """Predicted tuple count exceeds the materialization cap."""
 
 
 @dataclass(frozen=True)
@@ -143,60 +135,6 @@ def length_multiset(S: Semigroup, n: int) -> LengthMultiset:
     if not counts:
         raise NotInSemigroup(f"{n} not in semigroup {S}")
     return LengthMultiset(entries=counts, total=sum(counts.values()))
-
-
-def count_factorizations(S: Semigroup, n: int) -> int:
-    """|Z(n)| without materializing the set.
-
-    Three generators: sum of the closed per-length counts.  Otherwise a
-    dynamic-programming pass over one generator at a time.
-    """
-    if n < 0:
-        return 0
-    if S.k == 3:
-        return sum(_length_counts(S, n).values())
-    ways = [0] * (n + 1)
-    ways[0] = 1
-    for g in S.gens:
-        for v in range(g, n + 1):
-            ways[v] += ways[v - g]
-    return ways[n]
-
-
-def factorizations(S: Semigroup, n: int, max_tuples: int = 10_000_000) -> list[tuple[int, ...]]:
-    """All coefficient tuples (a1, ..., ak) with sum(ai * ni) = n.
-
-    Ordered descending in the last coordinate, then the next-to-last, and so
-    on (the first coordinate is forced).  Refuses to materialize more than
-    max_tuples tuples; use length_multiset / count_factorizations instead.
-    """
-    if n < 0:
-        return []
-    predicted = count_factorizations(S, n)
-    if predicted > max_tuples:
-        raise EnumerationCapExceeded(
-            f"|Z({n})| = {predicted} exceeds cap {max_tuples} in {S}"
-        )
-    gens = S.gens
-    k = S.k
-    out: list[tuple[int, ...]] = []
-    coeffs = [0] * k
-    first = gens[0]
-
-    def descend(idx: int, rem: int) -> None:
-        if idx == 0:
-            q, r = divmod(rem, first)
-            if r == 0:
-                coeffs[0] = q
-                out.append(tuple(coeffs))
-            return
-        g = gens[idx]
-        for c in range(rem // g, -1, -1):
-            coeffs[idx] = c
-            descend(idx - 1, rem - c * g)
-
-    descend(k - 1, n)
-    return out
 
 
 def min_max_length(S: Semigroup, n: int) -> tuple[int, int]:

@@ -1,7 +1,11 @@
 """Independent brute-force oracles used only by tests.
 
-These implementations share no code or algorithmic structure with the
-package: plain nested scans and trial division, slow but obviously correct.
+These implementations share no code with the package: plain recursion,
+nested scans and trial division, slow but obviously correct.
+``enumerate_factorizations`` lists every coefficient tuple; the closed
+lattice-point counting in ``factorlengths.factorization`` is checked against
+it, and the blind ``itertools.product`` scan of ``brute_factorizations``
+checks the enumerator in turn.
 """
 
 from __future__ import annotations
@@ -22,23 +26,37 @@ def brute_factorizations(gens: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
     }
 
 
-def brute_length_counter(gens: tuple[int, ...], n: int) -> Counter:
-    """Length multiset by direct scan over all but the first coordinate."""
-    counter: Counter = Counter()
-    rest = gens[1:]
+def enumerate_factorizations(gens: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """All coefficient tuples (a1, ..., ak) with sum(ai * gi) = n.
+
+    Ordered descending in the last coordinate, then the next-to-last, and so
+    on (the first coordinate is forced).  Empty when n has no factorization.
+    """
+    if n < 0:
+        return []
+    out: list[tuple[int, ...]] = []
+    coeffs = [0] * len(gens)
     first = gens[0]
 
-    def walk(idx: int, rem: int, acc: int) -> None:
-        if idx == len(rest):
-            if rem % first == 0:
-                counter[acc + rem // first] += 1
+    def descend(idx: int, rem: int) -> None:
+        if idx == 0:
+            q, r = divmod(rem, first)
+            if r == 0:
+                coeffs[0] = q
+                out.append(tuple(coeffs))
             return
-        g = rest[idx]
-        for c in range(rem // g + 1):
-            walk(idx + 1, rem - c * g, acc + c)
+        g = gens[idx]
+        for c in range(rem // g, -1, -1):
+            coeffs[idx] = c
+            descend(idx - 1, rem - c * g)
 
-    walk(0, n, 0)
-    return counter
+    descend(len(gens) - 1, n)
+    return out
+
+
+def brute_length_counter(gens: tuple[int, ...], n: int) -> Counter:
+    """Length multiset {length: multiplicity} of the enumerated tuples."""
+    return Counter(map(sum, enumerate_factorizations(gens, n)))
 
 
 def brute_is_prime(n: int) -> bool:

@@ -244,6 +244,29 @@ class TestGoldenBytes:
              "686f2179329afa3a839796d8d33177da357628290f961b854c367e15fbd82162"),
             ("verify structure -s 7,16,25",
              "4b2e0b79502d8a972c07c74416717577982cca4ffbe32eac9397697c87a8d0c1"),
+            ("invariants -s 6,9,20 -n 132",
+             "57feef7e24b7d1cba74480d81223e2f7fa022a64da75367a67e85a8ed4173f7f"),
+            ("asymptotics -s 48,49,50",
+             "30c1d0cea0282bec65cf1e0739ae5c80c09fd823873faa9c92fe32ef790be438"),
+            ("histogram -s 3,5,7 -n 630 --include-zeros",
+             "c057808d681cd10709620d8e15a9ba690cfa304489c2bbdc8abe6b217c434a98"),
+            ("model -s 3,5,7 -k 2",
+             "0b03de1714912ea4e1817487c16e8f0e6f2a54af814f1f1751a16cb794e1a2b5"),
+            ("construct pythagorean 4 3 5",
+             "082c84af1e1af28f55a64dc417b18068c10c9805f1db63bb9ea23c4d94c021fb"),
+            ("construct sqrtd 2 5",
+             "963c86889932e47a1fe598dcb9864322cb3dd620317452f8f57cb1997dfabe88"),
+            ("egyptian 8/11 --terms 4",
+             "7a3895a8816f65d76fe0ced50aa62f479690851c063aeb94b9735853dfe8c0fb"),
+            ("histo4 -s 4,5,6,7 -n 1680",
+             "272e4f4dd31e38da8a067f4bc9535e7471e5152668df5b3153b0dd405991b9db"),
+            # the three verdicts: not_quasilinear, quasilinear, inconclusive
+            ("verify quasilinear -s 7,16,25",
+             "b1a1880fca835731ef583ea2595335264552279a4f43cf22ac8ccefdbb5d3bac"),
+            ("verify quasilinear -s 12,15,20",
+             "d728a1bc1b5a28b53f67b7551a7b403734ceb5e3b6428fc3fc1791c69af15972"),
+            ("verify quasilinear -s 12,15,20 --max-checks 5",
+             "8f891dc6e15344dd5c776c6985f9db20b3339969edcd4224a01f3cd6da47a563"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

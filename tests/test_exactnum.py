@@ -188,6 +188,16 @@ class TestQuadNumber:
         assert compare_quadratics(sqrt2, sqrt2) == 0
         assert sqrt2 < sqrt3 < 2 < 1 + sqrt2
 
+    def test_non_strict_ordering_against_int_and_fraction(self):
+        """<= and >= hold on equal values of another type, where == is False."""
+        zero, half = QuadNumber.from_rational(0), QuadNumber.from_rational(Fraction(1, 2))
+        assert zero != 0
+        assert zero <= 0 and zero >= 0 and 0 <= zero
+        assert half >= Fraction(1, 2) and half <= Fraction(1, 2)
+        assert not (half < Fraction(1, 2) or half > Fraction(1, 2))
+        with pytest.raises(TypeError):
+            half < 0.5
+
     @given(rationals, rationals)
     def test_compare_matches_rational_compare(self, x, y):
         qx, qy = QuadNumber.from_rational(x), QuadNumber.from_rational(y)

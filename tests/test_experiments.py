@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from factorlengths import experiments
 from factorlengths.asymptotics import asymptotic_mean, asymptotic_median
 from factorlengths.experiments import (
     candidate_periods,
@@ -19,6 +20,19 @@ from factorlengths.experiments import (
 from factorlengths.factorization import length_multiset
 from factorlengths.invariants import mean_length, median_length
 from factorlengths.semigroup import make_semigroup
+
+
+@pytest.fixture
+def multiset_calls(monkeypatch):
+    """Elements passed to length_multiset by the experiments module."""
+    calls = []
+
+    def counting(S, n):
+        calls.append(n)
+        return length_multiset(S, n)
+
+    monkeypatch.setattr(experiments, "length_multiset", counting)
+    return calls
 
 
 class TestConvergenceSweep:
@@ -112,6 +126,12 @@ class TestModeTheorem:
     def test_json(self):
         payload = verify_mode_theorem(make_semigroup([3, 5, 7]), 200).to_json()
         assert payload["ok"] is True and payload["period"] == 10
+
+    def test_one_multiset_per_element(self, multiset_calls):
+        """Each of the 1979 elements up to 2000 and each n + 126 is counted
+        once, 2105 distinct elements in all."""
+        assert verify_mode_theorem(make_semigroup([6, 9, 20]), 2000).ok
+        assert len(multiset_calls) == len(set(multiset_calls)) == 2105
 
 
 class TestStructureTheorem:
@@ -230,3 +250,9 @@ class TestExtremeLengthSteps:
         S = make_semigroup([6, 9, 20])
         ok, offender = extreme_length_steps(S, 1600, 200)
         assert ok and offender is None
+
+    def test_one_multiset_per_element(self, multiset_calls):
+        """The 875 elements from 2500 on, together with n + 7 and n + 25,
+        are 900 distinct elements, each counted once."""
+        assert extreme_length_steps(make_semigroup([7, 16, 25]), 2500, 875) == (True, None)
+        assert len(multiset_calls) == len(set(multiset_calls)) == 900
