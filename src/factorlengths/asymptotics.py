@@ -46,19 +46,13 @@ def asymptotic_mean(S: Semigroup) -> Fraction:
 def asymptotic_median(S: Semigroup) -> QuadNumber:
     """Exact limit of median_length(n)/n, a convex mix of 1/n1 and 1/n3.
 
-    The mixing weight is the median of the triangular model: for F <= 1/2
-    the weight on 1/n3 is sqrt((1-F)/2), otherwise the weight on 1/n1 is
-    sqrt(F/2).  Both branches agree when F = 1/2.
+    The mixing weight on 1/n1 is the median of the triangular model with
+    peak at the fulcrum, carried from [0, 1] onto [1/n3, 1/n1].
     """
     _require_three(S)
     n1, _, n3 = S.gens
-    F = fulcrum(S)
     inv1, inv3 = Fraction(1, n1), Fraction(1, n3)
-    if F <= _HALF:
-        s = quad_sqrt((1 - F) / 2)
-        return inv1 * (1 - s) + inv3 * s
-    s = quad_sqrt(F / 2)
-    return inv1 * s + inv3 * (1 - s)
+    return inv3 + (inv1 - inv3) * triangular_model(fulcrum(S)).median
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,9 @@ class TriangularModel:
 
 
 def triangular_model(F: Fraction) -> TriangularModel:
-    """Triangular density with peak at F: mean (1+F)/3, median by branch."""
+    """Triangular density with peak at F: mean (1+F)/3, median
+    1 - sqrt((1-F)/2) for F <= 1/2 and sqrt(F/2) otherwise.  Both branches
+    agree when F = 1/2."""
     F = Fraction(F)
     if not 0 <= F <= 1:
         raise ValueError(f"peak {F} outside [0, 1]")

@@ -148,7 +148,7 @@ def _cmd_sweep(args) -> int:
         points = [int(p) for p in args.points.split(",")]
     else:
         points = experiments.default_grid(S)
-    result = experiments.convergence_sweep(S, points, jobs=args.jobs)
+    result = experiments.convergence_sweep(S, points)
     header = ["n", "mean_ratio", "median_ratio", "mean_err", "median_err"]
     rows = [
         (r.n, str(r.mean_ratio), str(r.median_ratio), _decimal(r.mean_err), _decimal(r.median_err))
@@ -172,7 +172,7 @@ def _cmd_verify(args) -> int:
         return 0 if report.ok else 1
     verdict = experiments.probe_median_quasilinearity(
         S,
-        periods=[args.period] if args.period else None,
+        periods=[args.period] if args.period is not None else None,
         start=args.start,
         max_checks=args.max_checks,
     )
@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[sg], help="convergence of mean/median ratios, CSV")
     p.add_argument("--points", help="comma-separated elements (default: geometric grid)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (same output bytes)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: the sweep runs in one process")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", parents=[sg], help="run one empirical verifier")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .exactnum import is_prime, isqrt, squarefree_decompose
+from .exactnum import is_prime, squarefree_decompose
 from .semigroup import Semigroup, make_semigroup
 
 
@@ -73,7 +73,7 @@ def sqrt_d_semigroup(d: int, t: int) -> Semigroup | ConstructionRejection:
         raise ValueError(f"{d} is not a squarefree integer >= 2")
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    p = isqrt(t * t * d)
+    p = math.isqrt(t * t * d)
     if not is_prime(p):
         return ConstructionRejection(
             reason="not_prime",

@@ -15,10 +15,6 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-Rational = Fraction
-
-isqrt = math.isqrt
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -112,7 +108,7 @@ def factorize(n: int) -> dict[int, int]:
             if is_prime(v):
                 factors[v] = factors.get(v, 0) + 1
                 continue
-            root = isqrt(v)
+            root = math.isqrt(v)
             if root * root == v:
                 stack += [root, root]
                 continue
@@ -287,7 +283,7 @@ class QuadNumber:
         if self.b == 0:
             return self.a
         scale = 10 ** digits
-        root = Fraction(isqrt(self.m * scale * scale), scale)
+        root = Fraction(math.isqrt(self.m * scale * scale), scale)
         return self.a + self.b * root
 
     def approx_str(self, significant: int = 12) -> str:

@@ -10,6 +10,7 @@ carries its window and thresholds so a run is reproducible from its output.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -65,41 +66,26 @@ def default_grid(S: Semigroup, targets: Sequence[int] = (100, 1_000, 10_000, 100
     return sorted(grid)
 
 
-def _sweep_point(job: tuple[tuple[int, ...], int]):
-    """One sweep sample; top-level so process pools can pickle it."""
-    gens, n = job
-    S = Semigroup(gens)
-    try:
-        ms = length_multiset(S, n)
-    except NotInSemigroup:
-        return n, None, None
-    return n, mean_length(ms), median_length(ms)
-
-
-def convergence_sweep(S: Semigroup, n_points: Sequence[int], jobs: int = 1) -> SweepResult:
+def convergence_sweep(S: Semigroup, n_points: Sequence[int]) -> SweepResult:
     """Exact mean/median ratios at the sampled elements, with decimal errors
     against the asymptotic constants.  Points outside S are skipped and
-    reported, not fatal.  jobs > 1 computes samples in parallel; the ordered
-    aggregation keeps output identical to a sequential run."""
+    reported, not fatal: non-positive points first, then non-members in
+    input order."""
     mean_c = asymptotic_mean(S)
     median_c = asymptotic_median(S)
     median_c_approx = median_c.approx_fraction(40)
-    batches = [(S.gens, n) for n in n_points if n > 0]
     skipped = [n for n in n_points if n <= 0]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            samples = list(pool.map(_sweep_point, batches))
-    else:
-        samples = [_sweep_point(job) for job in batches]
     rows = []
-    for n, mean, median in samples:
-        if mean is None:
+    for n in n_points:
+        if n <= 0:
+            continue
+        try:
+            ms = length_multiset(S, n)
+        except NotInSemigroup:
             skipped.append(n)
             continue
-        mean_ratio = mean / n
-        median_ratio = median / n
+        mean_ratio = mean_length(ms) / n
+        median_ratio = median_length(ms) / n
         median_err_exact = median_c - median_ratio
         if median_err_exact.sign() < 0:
             median_err_exact = -median_err_exact
@@ -328,13 +314,6 @@ class QuasilinearityVerdict:
         }
 
 
-def _median_at(S: Semigroup, n: int) -> Optional[Fraction]:
-    try:
-        return median_length(length_multiset(S, n))
-    except NotInSemigroup:
-        return None
-
-
 def candidate_periods(S: Semigroup) -> list[int]:
     """Default period ladder: trade element, generator product, full scale."""
     trade = trade_data(S)
@@ -360,16 +339,27 @@ def probe_median_quasilinearity(
     small elements.  Each period scans the semigroup elements of its window
     in order: the first deviating median increment is that period's witness;
     a window exhausted without deviation concludes quasilinear at that
-    period; exceeding max_checks leaves the period undecided.
+    period; exceeding max_checks leaves the period undecided.  Each element's
+    median is computed once, however many periods visit it.
     """
     if S.k != 3:
         raise ValueError("median quasilinearity probe requires 3 generators")
     if periods is None:
         periods = candidate_periods(S)
+    if any(p <= 0 for p in periods):
+        raise ValueError(f"periods must be positive, got {list(periods)}")
     if start is None:
         start = 4 * S.gens[2] ** 2
     if window_periods < 3:
         raise ValueError("window must cover at least 3 periods")
+
+    @functools.cache
+    def median_at(n: int) -> Optional[Fraction]:
+        try:
+            return median_length(length_multiset(S, n))
+        except NotInSemigroup:
+            return None
+
     probes: list[PeriodProbe] = []
     for period in periods:
         hi = start + window_periods * period
@@ -378,9 +368,9 @@ def probe_median_quasilinearity(
         checked = 0
         n = start
         while n <= hi and checked < max_checks:
-            here = _median_at(S, n)
+            here = median_at(n)
             if here is not None:
-                there = _median_at(S, n + period)
+                there = median_at(n + period)
                 if there is None:  # only possible for a period outside S
                     n += 1
                     continue

@@ -137,12 +137,6 @@ def length_multiset(S: Semigroup, n: int) -> LengthMultiset:
     return LengthMultiset(entries=counts, total=sum(counts.values()))
 
 
-def min_max_length(S: Semigroup, n: int) -> tuple[int, int]:
-    """(shortest, longest) factorization length of n; raises if n not in S."""
-    ms = length_multiset(S, n)
-    return ms.min_length, ms.max_length
-
-
 def histogram_rows(ms: LengthMultiset, include_zeros: bool = False) -> list[tuple[int, int]]:
     """(length, multiplicity) rows sorted ascending.
 

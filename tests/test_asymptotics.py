@@ -17,7 +17,7 @@ from factorlengths.asymptotics import (
     upper_envelope,
 )
 from factorlengths.exactnum import QuadNumber, compare_quadratics, quad_sqrt
-from factorlengths.factorization import length_multiset, min_max_length
+from factorlengths.factorization import length_multiset
 from factorlengths.semigroup import make_semigroup
 
 from oracles import random_semigroup_3
@@ -117,7 +117,8 @@ class TestScaledSequence:
     def test_cross_check_against_counting(self, gens, k):
         S = make_semigroup(gens)
         seq = scaled_sequence(S, k)
-        assert min_max_length(S, seq.element) == (seq.min_len, seq.max_len)
+        ms = length_multiset(S, seq.element)
+        assert (ms.min_length, ms.max_length) == (seq.min_len, seq.max_len)
 
     def test_ordering(self):
         rng = random.Random(3)
@@ -245,3 +246,18 @@ class TestMedianRadicandForms:
             S = make_semigroup(random_semigroup_3(rng))
             if fulcrum(S) <= HALF:
                 assert asymptotic_median(S) == self.alternative_median(S), S.gens
+
+    def test_high_fulcrum_form(self):
+        """For F > 1/2 the weight on 1/n1 is sqrt(F/2), with F written out
+        from the generators."""
+        rng = random.Random(45)
+        samples = [(6, 9, 20)]
+        while len(samples) < 30:
+            gens = random_semigroup_3(rng)
+            n1, n2, n3 = gens
+            if Fraction(n1 * (n3 - n2), n2 * (n3 - n1)) > HALF:
+                samples.append(gens)
+        for n1, n2, n3 in samples:
+            s = quad_sqrt(Fraction(n1 * (n3 - n2), n2 * (n3 - n1)) / 2)
+            expected = Fraction(1, n1) * s + Fraction(1, n3) * (1 - s)
+            assert asymptotic_median(make_semigroup([n1, n2, n3])) == expected, (n1, n2, n3)

@@ -182,6 +182,12 @@ class TestVerify:
         assert payload["verdict"] == "not_quasilinear"
         assert payload["witness"] is not None
 
+    @pytest.mark.parametrize("period", ["-5", "0"])
+    def test_non_positive_period_exit_2(self, capsys, period):
+        code, out, err = run(capsys, "verify", "quasilinear", "-s", "7,16,25", "--period", period)
+        assert code == 2 and out == ""
+        assert "positive" in err
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         import factorlengths.cli as climod
 
@@ -267,6 +273,18 @@ class TestGoldenBytes:
              "d728a1bc1b5a28b53f67b7551a7b403734ceb5e3b6428fc3fc1791c69af15972"),
             ("verify quasilinear -s 12,15,20 --max-checks 5",
              "8f891dc6e15344dd5c776c6985f9db20b3339969edcd4224a01f3cd6da47a563"),
+            ("verify quasilinear -s 7,16,25 --period 2800",
+             "2fd1013b912a00d9572213c56ce830c11b3dbf926d642cd0c376adfc80d7bcd7"),
+            ("verify quasilinear -s 6,9,20 --start 2000",
+             "d9303e19a430699d08d0a3c909f30b79accb6f0c5ca377682f27dd6381b74d4a"),
+            ("verify quasilinear -s 3,4,6",
+             "74fce5200341844f60d69392db396e2d4bcae50db21f7ab75bc8d2ef04ee8ec3"),
+            # skipped points print no row
+            ("sweep -s 6,9,20 --points 131,132,7,0",
+             "cd442d08084ee8dd066467e8e80c7af02351e96fe7571fd3601015af95d39b12"),
+            # --jobs is accepted and ignored
+            ("sweep -s 3,5,7 --jobs 2",
+             "a45675ab2567e754e3c4664a0584a2944057d206daaf726f0a87d5d997cddfd8"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

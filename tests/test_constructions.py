@@ -17,7 +17,7 @@ from factorlengths.constructions import (
     three_unit_fractions,
     unit_fraction_decomposition,
 )
-from factorlengths.exactnum import QuadNumber, isqrt, quad_sqrt
+from factorlengths.exactnum import QuadNumber, quad_sqrt
 from factorlengths.semigroup import Semigroup
 
 from oracles import brute_three_unit_fractions
@@ -99,7 +99,7 @@ class TestSqrtD:
         for t in accepted:
             S = sqrt_d_semigroup(d, t)
             n1, n2, n3 = S.gens
-            p = isqrt(n2)
+            p = math.isqrt(n2)
             offset = n3 - n2
             assert p * p == n2 and t * t * d == n3
             assert offset % p != 0  # p never divides l

@@ -13,7 +13,6 @@ from factorlengths.exactnum import (
     compare_quadratics,
     factorize,
     is_prime,
-    isqrt,
     parse_rational,
     quad_sqrt,
     squarefree_decompose,
@@ -59,11 +58,6 @@ class TestRationalPlumbing:
 
 
 class TestIntegerHelpers:
-    def test_isqrt(self):
-        assert isqrt(0) == 0
-        assert isqrt(50) == 7
-        assert isqrt(49) == 7
-
     def test_is_prime_small(self):
         assert is_prime(7)
         for n in range(2000):

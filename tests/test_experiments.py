@@ -61,14 +61,7 @@ class TestConvergenceSweep:
         S = make_semigroup([6, 9, 20])
         result = convergence_sweep(S, [131, 132, 7, 0])
         assert [r.n for r in result.rows] == [131, 132]
-        assert set(result.skipped) == {7, 0}
-
-    def test_parallel_jobs_identical(self):
-        S = make_semigroup([3, 5, 7])
-        points = [105, 210, 315]
-        seq = convergence_sweep(S, points, jobs=1)
-        par = convergence_sweep(S, points, jobs=2)
-        assert seq.rows == par.rows
+        assert result.skipped == (0, 7)  # non-positive points first
 
     def test_errors_decrease_along_distinguished_multiples(self):
         S = make_semigroup([3, 5, 7])
@@ -217,6 +210,18 @@ class TestQuasilinearityProbe:
             make_semigroup([12, 15, 20]), periods=[120], max_checks=5
         )
         assert verdict.verdict == "inconclusive"
+
+    @pytest.mark.parametrize("period", [0, -5])
+    def test_non_positive_period_rejected(self, period):
+        with pytest.raises(ValueError, match="positive"):
+            probe_median_quasilinearity(make_semigroup([7, 16, 25]), periods=[period])
+
+    @pytest.mark.parametrize("gens, elements", [((12, 15, 20), 481), ((7, 16, 25), 124)])
+    def test_one_multiset_per_element(self, multiset_calls, gens, elements):
+        """The periods of the default ladder share one memo, so an element
+        reached as n + P by one period and as n by the next is counted once."""
+        probe_median_quasilinearity(make_semigroup(gens))
+        assert len(multiset_calls) == len(set(multiset_calls)) == elements
 
 
 class TestMultiGeneratorHistogram:
