@@ -17,7 +17,7 @@ from factorlengths.experiments import (
     verify_mode_theorem,
     verify_structure_theorem,
 )
-from factorlengths.semigroup import parse_semigroup, trade_data
+from factorlengths.semigroup import parse_semigroup
 
 DEFAULT_SEMIGROUPS = ["6,9,20", "3,5,7", "7,16,25", "12,15,20", "3,4,6"]
 
@@ -33,16 +33,15 @@ def main() -> int:
     failures = 0
     for text in args.semigroups:
         S = parse_semigroup(text)
-        t = trade_data(S).element
 
         mode_report = verify_mode_theorem(S, args.mode_max)
         print(f"{S} mode recurrence on [0,{args.mode_max}]: "
               f"{'OK' if mode_report.ok else 'FAIL'} ({mode_report.checked} elements)")
         failures += not mode_report.ok
 
-        lo = 4 * S.gens[-1] ** 2
-        structure = verify_structure_theorem(S, lo, lo + 4 * t)
-        print(f"{S} structure window [{lo},{lo + 4 * t}]: "
+        structure = verify_structure_theorem(S)
+        lo, hi = structure.window
+        print(f"{S} structure window [{lo},{hi}]: "
               f"{'OK' if structure.ok else 'FAIL'} "
               f"(end gaps {structure.max_low_extent}/{structure.max_high_extent})")
         failures += not structure.ok

@@ -57,28 +57,20 @@ def asymptotic_median(S: Semigroup) -> QuadNumber:
 
 @dataclass(frozen=True)
 class AsymptoticConstants:
-    mean_c: Fraction
-    median_c: QuadNumber
-    is_median_rational: bool
+    F: Fraction
+    mean_constant: Fraction
+    median_constant: QuadNumber
     harmonic_case: bool
-
-    def to_json(self, F: Fraction) -> dict:
-        return {
-            "F": str(F),
-            "mean_constant": str(self.mean_c),
-            "median_constant": self.median_c.to_json(),
-            "harmonic_case": self.harmonic_case,
-        }
 
 
 def asymptotic_constants(S: Semigroup) -> AsymptoticConstants:
-    """Bundle of the asymptotic mean/median constants for one semigroup."""
-    median_c = asymptotic_median(S)
+    """Bundle of the fulcrum and the asymptotic mean/median constants."""
+    F = fulcrum(S)
     return AsymptoticConstants(
-        mean_c=asymptotic_mean(S),
-        median_c=median_c,
-        is_median_rational=median_c.is_rational,
-        harmonic_case=fulcrum(S) == _HALF,
+        F=F,
+        mean_constant=asymptotic_mean(S),
+        median_constant=asymptotic_median(S),
+        harmonic_case=F == _HALF,
     )
 
 

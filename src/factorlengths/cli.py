@@ -3,26 +3,29 @@
 JSON goes to standard output for report-style subcommands; the data-export
 subcommands (histogram, model, sweep) emit their documented CSV formats.
 Exact values are serialized as fraction strings; decimal columns exist only
-for plotting.  Exit codes: 0 success, 1 a verification reported a failure,
-2 usage or validation errors.
+for plotting.  This module alone owns the JSON form of results: `_plain`
+turns every report into it.  Exit codes: 0 success, 1 a verification
+reported a failure, 2 usage or validation errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
+from fractions import Fraction
 
 from . import asymptotics, constructions, experiments, factorization, invariants
-from .exactnum import parse_rational
+from .exactnum import QuadNumber, parse_rational
 from .semigroup import (
     InvalidGenerators,
     NotInSemigroup,
     Semigroup,
     parse_semigroup,
-    semigroup_to_json,
+    trade_data,
 )
 
 
@@ -38,8 +41,28 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _plain(value):
+    """JSON form of a result: a Fraction as its string, a QuadNumber as
+    {a, b, m, approx}, a Semigroup as its generator list, a dataclass field
+    by field without its repr=False fields, a dict value by value, a tuple
+    or list as a list."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, QuadNumber):
+        return {"a": str(value.a), "b": str(value.b), "m": value.m, "approx": value.approx_str()}
+    if isinstance(value, Semigroup):
+        return list(value.gens)
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value) if f.repr}
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    return value
+
+
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(_plain(payload), indent=2) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[tuple]) -> str:
@@ -53,7 +76,7 @@ def _csv_text(header: list[str], rows: list[tuple]) -> str:
 def _cmd_invariants(args) -> int:
     S = parse_semigroup(args.semigroup)
     report = invariants.invariant_report(S, args.n)
-    _emit(_json_text(report.to_json()), args.out)
+    _emit(_json_text(report), args.out)
     return 0
 
 
@@ -67,8 +90,7 @@ def _cmd_histogram(args) -> int:
 
 def _cmd_asymptotics(args) -> int:
     S = parse_semigroup(args.semigroup)
-    constants = asymptotics.asymptotic_constants(S)
-    _emit(_json_text(constants.to_json(asymptotics.fulcrum(S))), args.out)
+    _emit(_json_text(asymptotics.asymptotic_constants(S)), args.out)
     return 0
 
 
@@ -84,17 +106,24 @@ def _cmd_model(args) -> int:
     return 0
 
 
-def _constants_payload(S: Semigroup) -> dict:
+def _semigroup_payload(S: Semigroup) -> dict:
+    """Generator list plus the trade constants when they exist."""
+    if S.k != 3:
+        return {"gens": _plain(S)}
+    trade = trade_data(S)
+    return {"gens": _plain(S), "delta": trade.delta, "trade_element": trade.element}
+
+
+def _construction_payload(S: Semigroup) -> dict:
     constants = asymptotics.asymptotic_constants(S)
-    payload = constants.to_json(asymptotics.fulcrum(S))
-    payload["is_median_rational"] = constants.is_median_rational
-    return payload
+    rational = {"is_median_rational": constants.median_constant.is_rational}
+    return {"semigroup": _semigroup_payload(S), "constants": {**_plain(constants), **rational}}
 
 
 def _cmd_construct(args) -> int:
     if args.family == "pythagorean":
         S = constructions.pythagorean_semigroup(args.a, args.b, args.c)
-        payload = {"semigroup": semigroup_to_json(S), "constants": _constants_payload(S)}
+        payload = _construction_payload(S)
     elif args.t_max is not None:
         accepted = constructions.find_sqrt_d_params(args.d, args.t_max)
         payload = {
@@ -102,7 +131,7 @@ def _cmd_construct(args) -> int:
             "t_max": args.t_max,
             "accepted_t": accepted,
             "semigroups": [
-                semigroup_to_json(constructions.sqrt_d_semigroup(args.d, t))
+                _semigroup_payload(constructions.sqrt_d_semigroup(args.d, t))
                 for t in accepted
             ],
         }
@@ -111,17 +140,9 @@ def _cmd_construct(args) -> int:
     else:
         result = constructions.sqrt_d_semigroup(args.d, args.t)
         if isinstance(result, constructions.ConstructionRejection):
-            payload = {
-                "rejected": True,
-                "reason": result.reason,
-                "detail": result.detail,
-                "floor_value": result.floor_value,
-            }
+            payload = {"rejected": True, **_plain(result)}
         else:
-            payload = {
-                "semigroup": semigroup_to_json(result),
-                "constants": _constants_payload(result),
-            }
+            payload = _construction_payload(result)
     _emit(_json_text(payload), args.out)
     return 0
 
@@ -130,13 +151,13 @@ def _cmd_egyptian(args) -> int:
     target = parse_rational(args.target)
     if args.all_3:
         sols = constructions.three_unit_fractions(target, distinct=True)
-        payload = {"target": str(target), "three_term_solutions": [list(s) for s in sols]}
+        payload = {"target": target, "three_term_solutions": sols}
     else:
         decomposition = constructions.unit_fraction_decomposition(target, args.terms)
         payload = {
-            "target": str(target),
+            "target": target,
             "max_terms": args.terms,
-            "decomposition": list(decomposition) if decomposition else None,
+            "decomposition": decomposition or None,
         }
     _emit(_json_text(payload), args.out)
     return 0
@@ -162,13 +183,12 @@ def _cmd_verify(args) -> int:
     S = parse_semigroup(args.semigroup)
     if args.check == "mode":
         report = experiments.verify_mode_theorem(S, args.n_max)
-        _emit(_json_text(report.to_json()), args.out)
+        payload = {**_plain(report), "residual_classes": len(report.residuals), "ok": report.ok}
+        _emit(_json_text(payload), args.out)
         return 0 if report.ok else 1
     if args.check == "structure":
-        lo = args.lo if args.lo is not None else 4 * S.gens[-1] ** 2
-        hi = args.hi if args.hi is not None else lo + 4 * experiments.trade_data(S).element
-        report = experiments.verify_structure_theorem(S, lo, hi)
-        _emit(_json_text(report.to_json()), args.out)
+        report = experiments.verify_structure_theorem(S, args.lo, args.hi)
+        _emit(_json_text({**_plain(report), "ok": report.ok}), args.out)
         return 0 if report.ok else 1
     verdict = experiments.probe_median_quasilinearity(
         S,
@@ -176,7 +196,7 @@ def _cmd_verify(args) -> int:
         start=args.start,
         max_checks=args.max_checks,
     )
-    _emit(_json_text(verdict.to_json()), args.out)
+    _emit(_json_text(verdict), args.out)
     return 0
 
 
@@ -187,7 +207,11 @@ def _cmd_histo4(args) -> int:
         rows = factorization.histogram_rows(exploration.multiset)
         _emit(_csv_text(["length", "multiplicity"], rows), args.out)
     else:
-        _emit(_json_text(exploration.to_json()), args.out)
+        fields, ms = _plain(exploration), exploration.multiset
+        payload = {"semigroup": fields.pop("semigroup"), "n": fields.pop("n"),
+                   "num_factorizations": ms.total, "min": ms.min_length, "max": ms.max_length,
+                   **fields}
+        _emit(_json_text(payload), args.out)
     return 0
 
 

@@ -302,18 +302,6 @@ class QuadNumber:
             return str(self.a)
         return f"{self.a} + ({self.b})*sqrt({self.m})"
 
-    def to_json(self) -> dict:
-        return {
-            "a": str(self.a),
-            "b": str(self.b),
-            "m": self.m,
-            "approx": self.approx_str(),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "QuadNumber":
-        return cls(Fraction(payload["a"]), Fraction(payload["b"]), int(payload["m"]))
-
 
 def quad_sqrt(value: Fraction | int) -> QuadNumber:
     """Exact square root of a nonnegative rational as a QuadNumber (a = 0).

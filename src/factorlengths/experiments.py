@@ -11,7 +11,7 @@ carries its window and thresholds so a run is reproducible from its output.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -121,7 +121,7 @@ class ModeTheoremReport:
 
     semigroup: Semigroup
     period: int
-    shift: int
+    mode_shift: int
     n_max: int
     checked: int
     failures: tuple[tuple[int, str], ...]
@@ -131,22 +131,12 @@ class ModeTheoremReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> dict:
-        return {
-            "semigroup": list(self.semigroup.gens),
-            "period": self.period,
-            "mode_shift": self.shift,
-            "n_max": self.n_max,
-            "checked": self.checked,
-            "failures": [list(f) for f in self.failures],
-            "residual_classes": len(self.residuals),
-            "ok": self.ok,
-        }
-
 
 def verify_mode_theorem(S: Semigroup, n_max: int) -> ModeTheoremReport:
     if S.k != 3:
         raise ValueError("mode recurrence check requires 3 generators")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     trade = trade_data(S)
     t = trade.element
     shift = t // S.gens[1]
@@ -174,7 +164,7 @@ def verify_mode_theorem(S: Semigroup, n_max: int) -> ModeTheoremReport:
     return ModeTheoremReport(
         semigroup=S,
         period=t,
-        shift=shift,
+        mode_shift=shift,
         n_max=n_max,
         checked=checked,
         failures=tuple(failures),
@@ -214,26 +204,22 @@ class StructureReport:
     def ok(self) -> bool:
         return self.bounded and not self.violations
 
-    def to_json(self) -> dict:
-        return {
-            "semigroup": list(self.semigroup.gens),
-            "delta": self.delta,
-            "window": list(self.window),
-            "checked": self.checked,
-            "max_low_extent": self.max_low_extent,
-            "max_high_extent": self.max_high_extent,
-            "bounded": self.bounded,
-            "violations": [list(v) for v in self.violations],
-            "ok": self.ok,
-        }
 
-
-def verify_structure_theorem(S: Semigroup, n_lo: int, n_hi: int) -> StructureReport:
+def verify_structure_theorem(
+    S: Semigroup, n_lo: Optional[int] = None, n_hi: Optional[int] = None
+) -> StructureReport:
     """For each n in the window: all lengths lie on the step-delta progression
     through the extremes, missing lengths cluster at the ends, and the end-gap
-    extent seen in the second half of the window never exceeds the first half."""
+    extent seen in the second half of the window never exceeds the first half.
+
+    The default window starts at 4*n3**2 and spans four trade elements.
+    """
     if S.k != 3:
         raise ValueError("structure check requires 3 generators")
+    if n_lo is None:
+        n_lo = 4 * S.gens[2] ** 2
+    if n_hi is None:
+        n_hi = n_lo + 4 * trade_data(S).element
     delta = S.delta
     violations: list[tuple[int, str]] = []
     extents: list[tuple[int, int]] = []
@@ -285,9 +271,10 @@ class QuasilinearityVerdict:
     """Three-valued empirical verdict on eventual quasilinearity of the median.
 
     quasilinear: some tested period shows a constant median increment across
-    every semigroup element of its whole window.  not_quasilinear: every
-    tested period exhibited a concrete witness where the increment deviates.
-    inconclusive: anything else (typically a budget-exhausted window).
+    every semigroup element of its whole window, and the window holds at
+    least one.  not_quasilinear: every tested period exhibited a concrete
+    witness where the increment deviates.  inconclusive: anything else
+    (typically a budget-exhausted or empty window).
     A finite window can never prove the "eventually" part; the window and
     check budget are recorded so the verdict is reproducible.
     """
@@ -300,18 +287,6 @@ class QuasilinearityVerdict:
     start_threshold: int
     max_checks: int
     probes: tuple[PeriodProbe, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "semigroup": list(self.semigroup.gens),
-            "verdict": self.verdict,
-            "period_tested": self.period_tested,
-            "window": list(self.window),
-            "witness": self.witness,
-            "start_threshold": self.start_threshold,
-            "max_checks": self.max_checks,
-            "probes": [asdict(p) for p in self.probes],
-        }
 
 
 def candidate_periods(S: Semigroup) -> list[int]:
@@ -339,7 +314,8 @@ def probe_median_quasilinearity(
     small elements.  Each period scans the semigroup elements of its window
     in order: the first deviating median increment is that period's witness;
     a window exhausted without deviation concludes quasilinear at that
-    period; exceeding max_checks leaves the period undecided.  Each element's
+    period, unless it held no element; exceeding max_checks leaves the
+    period undecided.  Each element's
     median is computed once, however many periods visit it.
     """
     if S.k != 3:
@@ -382,7 +358,7 @@ def probe_median_quasilinearity(
                     witness = n
                     break
             n += 1
-        exhausted = witness is None and n > hi
+        exhausted = witness is None and n > hi and checked > 0
         probes.append(
             PeriodProbe(
                 period=period,
@@ -422,24 +398,11 @@ class HistogramExploration:
 
     semigroup: Semigroup
     n: int
-    multiset: LengthMultiset
+    multiset: LengthMultiset = field(repr=False)
     grid_step: int
     inflection_candidates: tuple[int, ...]
     peak_lengths: tuple[int, ...]
     peak_multiplicity: int
-
-    def to_json(self) -> dict:
-        return {
-            "semigroup": list(self.semigroup.gens),
-            "n": self.n,
-            "num_factorizations": self.multiset.total,
-            "min": self.multiset.min_length,
-            "max": self.multiset.max_length,
-            "grid_step": self.grid_step,
-            "inflection_candidates": list(self.inflection_candidates),
-            "peak_lengths": list(self.peak_lengths),
-            "peak_multiplicity": self.peak_multiplicity,
-        }
 
 
 def multi_generator_histogram(S: Semigroup, n: int) -> HistogramExploration:

@@ -22,25 +22,13 @@ class EmptyMultisetError(ValueError):
 @dataclass(frozen=True)
 class InvariantReport:
     n: int
-    min_len: int
-    max_len: int
+    min: int
+    max: int
     mean: Fraction
     median: Fraction
     mode_lengths: tuple[int, ...]
     mode_freq: int
     num_factorizations: int
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "min": self.min_len,
-            "max": self.max_len,
-            "mean": str(self.mean),
-            "median": str(self.median),
-            "mode_lengths": list(self.mode_lengths),
-            "mode_freq": self.mode_freq,
-            "num_factorizations": self.num_factorizations,
-        }
 
 
 def _require_nonempty(ms: LengthMultiset) -> None:
@@ -91,8 +79,8 @@ def invariant_report(S: Semigroup, n: int) -> InvariantReport:
     mode_lengths, mode_freq = mode(ms)
     return InvariantReport(
         n=n,
-        min_len=ms.min_length,
-        max_len=ms.max_length,
+        min=ms.min_length,
+        max=ms.max_length,
         mean=mean_length(ms),
         median=median_length(ms),
         mode_lengths=mode_lengths,

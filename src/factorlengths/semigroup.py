@@ -149,12 +149,3 @@ def trade_data(S: Semigroup) -> TradeData:
     mid = (n3 - n1) // delta
     return TradeData(low=low, mid=mid, high=high, element=mid * n2, delta=delta)
 
-
-def semigroup_to_json(S: Semigroup) -> dict:
-    """JSON form: generator list plus trade constants when they exist."""
-    payload: dict = {"gens": list(S.gens)}
-    if S.k == 3:
-        trade = trade_data(S)
-        payload["delta"] = trade.delta
-        payload["trade_element"] = trade.element
-    return payload

@@ -75,7 +75,7 @@ def test_criterion_1_mcnugget_golden_suite():
         assert report.median == Fraction(31, 2)
         assert report.mode_lengths == (15,)
         assert report.mode_freq == 2
-        assert (report.min_len, report.max_len) == (8, 22)
+        assert (report.min, report.max) == (8, 22)
 
 
 def test_criterion_2_mode_of_1001():

@@ -97,10 +97,10 @@ class TestMedianConstant:
 
     def test_constants_bundle(self):
         bundle = asymptotic_constants(make_semigroup([3, 4, 6]))
-        assert bundle.harmonic_case and bundle.is_median_rational
-        assert bundle.mean_c == bundle.median_c.as_fraction() == Fraction(1, 4)
+        assert bundle.harmonic_case and bundle.median_constant.is_rational
+        assert bundle.mean_constant == bundle.median_constant.as_fraction() == Fraction(1, 4)
         bundle = asymptotic_constants(make_semigroup([48, 49, 50]))
-        assert not bundle.harmonic_case and not bundle.is_median_rational
+        assert not bundle.harmonic_case and not bundle.median_constant.is_rational
 
 
 class TestScaledSequence:

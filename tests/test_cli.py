@@ -9,6 +9,7 @@ import pytest
 from factorlengths.asymptotics import asymptotic_median
 from factorlengths.cli import main
 from factorlengths.exactnum import QuadNumber
+from factorlengths.experiments import ModeTheoremReport
 from factorlengths.semigroup import make_semigroup
 
 
@@ -82,7 +83,8 @@ class TestAsymptotics:
     def test_median_round_trip(self, capsys):
         _, out, _ = run(capsys, "asymptotics", "-s", "48,49,50")
         payload = json.loads(out)
-        reconstructed = QuadNumber.from_json(payload["median_constant"])
+        median = payload["median_constant"]
+        reconstructed = QuadNumber(Fraction(median["a"]), Fraction(median["b"]), median["m"])
         assert reconstructed == asymptotic_median(make_semigroup([48, 49, 50]))
 
 
@@ -191,17 +193,31 @@ class TestVerify:
     def test_failure_exit_code(self, capsys, monkeypatch):
         import factorlengths.cli as climod
 
-        class FailingReport:
-            ok = False
-
-            def to_json(self):
-                return {"ok": False}
-
-        monkeypatch.setattr(
-            climod.experiments, "verify_mode_theorem", lambda S, n_max: FailingReport()
+        failing = ModeTheoremReport(
+            semigroup=make_semigroup([3, 5, 7]), period=10, mode_shift=2, n_max=0,
+            checked=1, failures=((0, "planted"),), residuals={},
         )
-        code, _, _ = run(capsys, "verify", "mode", "-s", "3,5,7")
+        monkeypatch.setattr(
+            climod.experiments, "verify_mode_theorem", lambda S, n_max: failing
+        )
+        code, out, _ = run(capsys, "verify", "mode", "-s", "3,5,7")
         assert code == 1
+        assert json.loads(out)["failures"] == [[0, "planted"]]
+
+    @pytest.mark.parametrize("n_max", ["-5", "-1"])
+    def test_negative_n_max_exit_2(self, capsys, n_max):
+        code, out, err = run(capsys, "verify", "mode", "-s", "6,9,20", "--n-max", n_max)
+        assert code == 2 and out == ""
+        assert "n_max" in err
+
+    def test_empty_quasilinear_window_is_inconclusive(self, capsys):
+        code, out, _ = run(capsys, "verify", "quasilinear", "-s", "7,16,25",
+                           "--start", "-100", "--period", "32")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["verdict"] == "inconclusive"
+        assert payload["probes"][0]["checked"] == 0
+        assert payload["probes"][0]["window_exhausted"] is False
 
 
 class TestHisto4:
@@ -285,9 +301,39 @@ class TestGoldenBytes:
             # --jobs is accepted and ignored
             ("sweep -s 3,5,7 --jobs 2",
              "a45675ab2567e754e3c4664a0584a2944057d206daaf726f0a87d5d997cddfd8"),
+            # every JSON shape: rejection, parameter scan, k = 2 and k = 4
+            # reports, n = 0, a rational median, a wide histo4
+            ("construct sqrtd 2 2",
+             "3cbf2ca5a88f41c972b9f3a8e722f28751bab7bf5b58810485d450dbb0499c57"),
+            ("construct sqrtd 2 --t-max 10",
+             "224650d422029f24823ec5b48b88e4e8256af79d36307c672f12b699f270f86d"),
+            ("egyptian 8/11 --all-3",
+             "b899893e1e58d9c3014661af042b66d9f5384d14e155aeb55d091d9cda4a0c74"),
+            ("invariants -s 4,5,6,7 -n 300",
+             "feab8755a855ef7d74b03b9ab7cf1b8d5afa546c180012f29423a99b680936ce"),
+            ("invariants -s 5,7 -n 200",
+             "7bcd9259755edd269fa4dc7595102e70c9d5e4a64463a7b9ab602391da677879"),
+            ("invariants -s 3,5,7 -n 0",
+             "520e33070c7b1b6649e87ae2b24e99cb003541594a9e3da03f0d25dbd036a5c6"),
+            ("asymptotics -s 3,4,6",
+             "2c7b7a3f750cd614a39acefdb96515bc4efb9a05885840e99e16b57d99c1b7da"),
+            ("histo4 -s 5,7,8,9,11 -n 2520",
+             "f5a70e0040734fec196a5144424d15a83f099a604bb737ebd0663964b65450b2"),
+            # an empty range below every nonzero element still checks n = 0
+            ("verify mode -s 6,9,20 --n-max 0",
+             "2518d653ec2a5714c70ad2eb45fbf755987406dae6078c72aaba705bbf983302"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, err = run(capsys, *argv.split())
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_failed_verification_digest(self, capsys):
+        # an inverted window checks nothing, so the structure verdict fails
+        code, out, err = run(capsys, "verify", "structure", "-s", "6,9,20",
+                             "--lo", "500", "--hi", "100")
+        assert code == 1, err
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "89351aa848cc8db6a2f31729694b130ce54eaacf3399b882393cc5b54c0d6620"
+        )

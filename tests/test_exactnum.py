@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from factorlengths.cli import _plain
 from factorlengths.exactnum import (
     QuadNumber,
     compare_quadratics,
@@ -205,7 +206,7 @@ class TestQuadNumber:
 
     def test_json_round_trip(self):
         q = QuadNumber(Fraction(1, 48), Fraction(-1, 3360), 2)
-        payload = q.to_json()
+        payload = _plain(q)
         assert payload["a"] == "1/48" and payload["b"] == "-1/3360" and payload["m"] == 2
-        assert QuadNumber.from_json(payload) == q
+        assert QuadNumber(Fraction(payload["a"]), Fraction(payload["b"]), payload["m"]) == q
         assert len(payload["approx"]) >= 12

@@ -1,10 +1,12 @@
 """Empirical verification drivers."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from factorlengths import experiments
+from factorlengths.cli import _plain, main
 from factorlengths.asymptotics import asymptotic_mean, asymptotic_median
 from factorlengths.experiments import (
     candidate_periods,
@@ -108,7 +110,7 @@ class TestModeTheorem:
     def test_small_semigroup(self):
         report = verify_mode_theorem(make_semigroup([3, 5, 7]), 500)
         assert report.ok
-        assert report.period == 10 and report.shift == 2
+        assert report.period == 10 and report.mode_shift == 2
 
     def test_residuals_tabulated_per_class(self):
         report = verify_mode_theorem(make_semigroup([3, 5, 7]), 500)
@@ -116,9 +118,15 @@ class TestModeTheorem:
             assert 0 <= residue < 10
             assert isinstance(value, Fraction)
 
-    def test_json(self):
-        payload = verify_mode_theorem(make_semigroup([3, 5, 7]), 200).to_json()
+    def test_json(self, capsys):
+        assert main(["verify", "mode", "-s", "3,5,7", "--n-max", "200"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True and payload["period"] == 10
+
+    @pytest.mark.parametrize("n_max", [-1, -5])
+    def test_negative_n_max_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max"):
+            verify_mode_theorem(make_semigroup([6, 9, 20]), n_max)
 
     def test_one_multiset_per_element(self, multiset_calls):
         """Each of the 1979 elements up to 2000 and each n + 126 is counted
@@ -151,6 +159,12 @@ class TestStructureTheorem:
         S = make_semigroup([3, 5, 7])
         ms = length_multiset(S, 630)
         assert ms.support() == tuple(range(90, 211, 2))
+
+    def test_default_window(self):
+        """4*n3**2 up to four trade elements beyond it, as documented."""
+        report = verify_structure_theorem(make_semigroup([3, 5, 7]))
+        assert report.window == (196, 196 + 4 * 10)
+        assert report.ok
 
     def test_tiny_window_does_not_crash(self):
         S = make_semigroup([3, 5, 7])
@@ -195,7 +209,7 @@ class TestQuasilinearityProbe:
     def test_window_records_parameters(self):
         verdict = probe_median_quasilinearity(make_semigroup([12, 15, 20]))
         assert verdict.start_threshold == 4 * 20**2
-        payload = verdict.to_json()
+        payload = _plain(verdict)
         assert payload["verdict"] == "quasilinear"
         assert payload["probes"][0]["checked"] > 0
 
@@ -204,6 +218,15 @@ class TestQuasilinearityProbe:
             probe_median_quasilinearity(
                 make_semigroup([12, 15, 20]), window_periods=2
             )
+
+    def test_empty_window_is_inconclusive(self):
+        """[-100, -4] holds no element of S, so a clean scan proves nothing."""
+        verdict = probe_median_quasilinearity(
+            make_semigroup([7, 16, 25]), periods=[32], start=-100
+        )
+        assert verdict.verdict == "inconclusive"
+        assert verdict.probes[0].checked == 0
+        assert not verdict.probes[0].window_exhausted
 
     def test_budget_exhaustion_is_inconclusive(self):
         verdict = probe_median_quasilinearity(

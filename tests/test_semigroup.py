@@ -5,13 +5,13 @@ import random
 
 import pytest
 
+from factorlengths.cli import _semigroup_payload
 from factorlengths.semigroup import (
     InvalidGenerators,
     Semigroup,
     contains,
     make_semigroup,
     parse_semigroup,
-    semigroup_to_json,
     trade_data,
 )
 
@@ -144,13 +144,13 @@ class TestTradeData:
 
 class TestSerialization:
     def test_three_generator_json(self):
-        payload = semigroup_to_json(make_semigroup([6, 9, 20]))
+        payload = _semigroup_payload(make_semigroup([6, 9, 20]))
         assert payload == {"gens": [6, 9, 20], "delta": 1, "trade_element": 126}
 
     def test_many_generator_json(self):
-        payload = semigroup_to_json(make_semigroup([4, 5, 6, 7]))
+        payload = _semigroup_payload(make_semigroup([4, 5, 6, 7]))
         assert payload == {"gens": [4, 5, 6, 7]}
 
     def test_round_trip(self):
         S = make_semigroup([7, 16, 25])
-        assert make_semigroup(semigroup_to_json(S)["gens"]) == S
+        assert make_semigroup(_semigroup_payload(S)["gens"]) == S
