@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import QuadNumber, quad_sqrt
-from .factorization import LengthMultiset, length_multiset
-from .invariants import mode
+from .factorization import length_multiset
 from .semigroup import Semigroup, TradeData, trade_data
 
 _HALF = Fraction(1, 2)
@@ -276,16 +275,3 @@ def envelope_report(S: Semigroup, k: int) -> EnvelopeReport:
         k=k, pointwise_ok=ok, max_pointwise_gap=max_point, max_step_gap=max_step
     )
 
-
-def mode_is_scaled_singleton(S: Semigroup, k: int) -> bool:
-    """At n = k*scale the mode is the single length n/n2 with multiplicity
-    num_trades + 1; used as a cross-check of the closed formulas."""
-    seq = scaled_sequence(S, k)
-    ms = length_multiset(S, seq.element)
-    lengths, freq = mode(ms)
-    return (
-        lengths == (seq.mode_len,)
-        and freq == seq.num_trades + 1
-        and ms.min_length == seq.min_len
-        and ms.max_length == seq.max_len
-    )

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import asymptotics, constructions, experiments, factorization, invariants
-from .exactnum import QuadNumber, parse_rational
+from .exactnum import QuadNumber
 from .semigroup import (
     InvalidGenerators,
     NotInSemigroup,
@@ -148,7 +148,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_egyptian(args) -> int:
-    target = parse_rational(args.target)
+    try:
+        target = Fraction(args.target)
+    except ZeroDivisionError:
+        raise ValueError(f"target {args.target} has a zero denominator") from None
     if args.all_3:
         sols = constructions.three_unit_fractions(target, distinct=True)
         payload = {"target": target, "three_term_solutions": sols}

@@ -97,10 +97,6 @@ def find_sqrt_d_params(d: int, t_max: int) -> list[int]:
     ]
 
 
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
 def three_unit_fractions(target: Fraction, distinct: bool = True) -> list[tuple[int, int, int]]:
     """All (d1 <= d2 <= d3) with 1/d1 + 1/d2 + 1/d3 = target (strict if distinct).
 
@@ -113,11 +109,11 @@ def three_unit_fractions(target: Fraction, distinct: bool = True) -> list[tuple[
         raise ValueError(f"target must be positive, got {target}")
     bump = 1 if distinct else 0
     out: list[tuple[int, int, int]] = []
-    for d1 in range(_ceil_frac(1 / target), int(3 / target) + 1):
+    for d1 in range(math.ceil(1 / target), int(3 / target) + 1):
         r1 = target - Fraction(1, d1)
         if r1 <= 0:
             continue
-        for d2 in range(max(d1 + bump, _ceil_frac(1 / r1)), int(2 / r1) + 1):
+        for d2 in range(max(d1 + bump, math.ceil(1 / r1)), int(2 / r1) + 1):
             r2 = r1 - Fraction(1, d2)
             if r2 <= 0 or r2.numerator != 1:
                 continue
@@ -134,6 +130,8 @@ def unit_fraction_decomposition(target: Fraction, max_terms: int) -> Optional[tu
     denominator brackets; None when no decomposition exists within the cap.
     """
     target = Fraction(target)
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
     if not 0 < target < max_terms:
         raise ValueError(f"need 0 < target < {max_terms}, got {target}")
 
@@ -142,7 +140,7 @@ def unit_fraction_decomposition(target: Fraction, max_terms: int) -> Optional[tu
             if r.numerator == 1 and r.denominator >= min_d:
                 return (r.denominator,)
             return None
-        for d in range(max(min_d, _ceil_frac(1 / r)), int(terms / r) + 1):
+        for d in range(max(min_d, math.ceil(1 / r)), int(terms / r) + 1):
             rest = r - Fraction(1, d)
             if rest <= 0:
                 continue

@@ -3,8 +3,8 @@
 Rationals are stdlib ``fractions.Fraction`` throughout (arbitrary precision,
 canonical gcd-reduced form for free).  On top of that this module provides
 ``QuadNumber``, an exact element a + b*sqrt(m) of a real quadratic field,
-with canonicalization, arithmetic, and exact sign comparisons that never
-touch floating point.
+with canonicalization, ring arithmetic, and exact sign tests and ordering
+within one field that never touch floating point.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact Fraction."""
-    return Fraction(text.strip())
 
 
 def is_prime(n: int) -> bool:
@@ -234,37 +229,22 @@ class QuadNumber:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QuadNumber":
-        norm = self.a * self.a - self.b * self.b * self.m
-        if norm == 0:
-            if self.a == 0 and self.b == 0:
-                raise ZeroDivisionError("division by zero")
-            raise ZeroDivisionError("zero field norm")  # unreachable for m squarefree
-        return QuadNumber(self.a / norm, -self.b / norm, self.m)
-
-    def __truediv__(self, other) -> "QuadNumber":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_rational:
-            if o.a == 0:
-                raise ZeroDivisionError("division by zero")
-            return QuadNumber(self.a / o.a, self.b / o.a, self.m)
-        return self * o.inverse()
-
     def sign(self) -> int:
         return _sign_single(self.a, self.b, self.m)
 
     def _compare(self, other, accept) -> bool:
         """accept(sign of self - other, 0); NotImplemented for foreign types.
 
-        Not functools.total_ordering: its derived <= and >= fall back to ==,
-        and dataclass equality is False against int and Fraction.
+        Orders values within one quadratic field, and against int and
+        Fraction; values over two different radicals raise ValueError, as
+        their sum does.  Not functools.total_ordering: its derived <= and >=
+        fall back to ==, and dataclass equality is False against int and
+        Fraction.
         """
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return accept(compare_quadratics(self, o), 0)
+        return accept((self - o).sign(), 0)
 
     def __lt__(self, other) -> bool:
         return self._compare(other, operator.lt)
@@ -317,28 +297,3 @@ def quad_sqrt(value: Fraction | int) -> QuadNumber:
     root, core = squarefree_decompose(r.numerator * r.denominator)
     return QuadNumber(Fraction(0), Fraction(root, r.denominator), core)
 
-
-def compare_quadratics(x: QuadNumber, y: QuadNumber) -> int:
-    """Exact sign of x - y, allowing x and y to live over different radicals.
-
-    Same-radical differences reduce to one sign test.  For distinct radicals
-    sqrt(m) != sqrt(n) the comparison squares both sides once, which lands
-    back in a single quadratic field; no floating point is involved.
-    """
-    if x.m == y.m:
-        return _sign_single(x.a - y.a, x.b - y.b, x.m)
-    if x.is_rational or y.is_rational:
-        diff = x - y
-        return _sign_single(diff.a, diff.b, diff.m)
-    # left = (x.a - y.a) + x.b sqrt(m) versus right = y.b sqrt(n)
-    left_sign = _sign_single(x.a - y.a, x.b, x.m)
-    right_sign = 1 if y.b > 0 else -1
-    if left_sign != right_sign:
-        if left_sign > right_sign:
-            return 1
-        return -1
-    # same nonzero sign: compare squares, yet another single-radical test
-    diff_a = (x.a - y.a) ** 2 + x.b * x.b * x.m - y.b * y.b * y.m
-    diff_b = 2 * (x.a - y.a) * x.b
-    squared = _sign_single(diff_a, diff_b, x.m)
-    return squared if left_sign > 0 else -squared

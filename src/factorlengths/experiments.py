@@ -172,12 +172,9 @@ def verify_mode_theorem(S: Semigroup, n_max: int) -> ModeTheoremReport:
     )
 
 
-def end_gaps(S: Semigroup, n: int) -> tuple[list[int], list[int]]:
-    """Missing lengths of the arithmetic progression, split low end / high end."""
-    return _missing_ends(length_multiset(S, n), S.delta)
-
-
-def _missing_ends(ms: LengthMultiset, delta: int) -> tuple[list[int], list[int]]:
+def end_gaps(ms: LengthMultiset, delta: int) -> tuple[list[int], list[int]]:
+    """Missing lengths of the step-delta progression from ms's least to its
+    greatest length, split low end / high end."""
     progression = range(ms.min_length, ms.max_length + 1, delta)
     count = len(progression)
     low_missing, high_missing = [], []
@@ -220,6 +217,8 @@ def verify_structure_theorem(
         n_lo = 4 * S.gens[2] ** 2
     if n_hi is None:
         n_hi = n_lo + 4 * trade_data(S).element
+    if n_hi < n_lo:
+        raise ValueError(f"n_hi must be >= n_lo, got window [{n_lo}, {n_hi}]")
     delta = S.delta
     violations: list[tuple[int, str]] = []
     extents: list[tuple[int, int]] = []
@@ -233,7 +232,7 @@ def verify_structure_theorem(
         off_grid = [ell for ell in ms.support() if (ell - lo) % delta]
         if off_grid:
             violations.append((n, f"lengths off the delta grid: {off_grid[:4]}"))
-        low_missing, high_missing = _missing_ends(ms, delta)
+        low_missing, high_missing = end_gaps(ms, delta)
         extents.append((
             (low_missing[-1] - lo) // delta + 1 if low_missing else 0,
             (hi - high_missing[0]) // delta + 1 if high_missing else 0,

@@ -5,7 +5,9 @@ nested scans and trial division, slow but obviously correct.
 ``enumerate_factorizations`` lists every coefficient tuple; the closed
 lattice-point counting in ``factorlengths.factorization`` is checked against
 it, and the blind ``itertools.product`` scan of ``brute_factorizations``
-checks the enumerator in turn.
+checks the enumerator in turn.  ``compare_quadratics`` orders values over
+two different radicals, which ``QuadNumber`` itself refuses; it needs only
+single-field sign tests.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+
+from factorlengths.exactnum import QuadNumber
 
 
 def brute_factorizations(gens: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
@@ -120,3 +124,22 @@ def random_semigroup_3(rng, lo: int = 2, hi: int = 400) -> tuple[int, int, int]:
         gens = sorted(rng.sample(range(lo, hi), 3))
         if math.gcd(gens[0], math.gcd(gens[1], gens[2])) == 1:
             return tuple(gens)
+
+
+def compare_quadratics(x: QuadNumber, y: QuadNumber) -> int:
+    """Exact sign of x - y, allowing x and y to live over different radicals.
+
+    Same-field differences reduce to one sign test.  For distinct radicals
+    sqrt(m) != sqrt(n), squaring both sides once lands back in Q(sqrt(m));
+    no floating point is involved.
+    """
+    if x.m == y.m or x.is_rational or y.is_rational:
+        return (x - y).sign()
+    # left = (x.a - y.a) + x.b sqrt(m) against right = y.b sqrt(n)
+    d = x.a - y.a
+    left = QuadNumber(d, x.b, x.m).sign()
+    right = 1 if y.b > 0 else -1
+    if left != right:
+        return (left > right) - (left < right)
+    squared = QuadNumber(d * d + x.b * x.b * x.m - y.b * y.b * y.m, 2 * d * x.b, x.m).sign()
+    return squared if left > 0 else -squared

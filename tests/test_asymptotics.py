@@ -16,11 +16,11 @@ from factorlengths.asymptotics import (
     triangular_model,
     upper_envelope,
 )
-from factorlengths.exactnum import QuadNumber, compare_quadratics, quad_sqrt
+from factorlengths.exactnum import QuadNumber, quad_sqrt
 from factorlengths.factorization import length_multiset
 from factorlengths.semigroup import make_semigroup
 
-from oracles import random_semigroup_3
+from oracles import compare_quadratics, random_semigroup_3
 
 HALF = Fraction(1, 2)
 

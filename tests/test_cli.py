@@ -220,6 +220,24 @@ class TestVerify:
         assert payload["probes"][0]["window_exhausted"] is False
 
 
+class TestUsageErrors:
+    """Bad input exits 2 with one error line naming the bad value."""
+
+    @pytest.mark.parametrize("argv,named,not_named", [
+        (("verify", "structure", "-s", "6,9,20", "--lo", "500", "--hi", "100"), "n_lo", None),
+        (("egyptian", "8/11", "--terms", "0"), "max_terms", "target"),
+        (("egyptian", "1/0"), "zero denominator", None),
+    ], ids=["inverted-structure-window", "zero-terms", "zero-denominator"])
+    def test_usage_errors_exit_2(self, capsys, argv, named, not_named):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert named in err
+        if not_named:
+            assert not_named not in err
+
+
 class TestHisto4:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "histo4", "-s", "4,5,6,7", "-n", "1680")
@@ -330,10 +348,10 @@ class TestGoldenBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_failed_verification_digest(self, capsys):
-        # an inverted window checks nothing, so the structure verdict fails
+        # a one-element window cannot show bounded end gaps, so the verdict fails
         code, out, err = run(capsys, "verify", "structure", "-s", "6,9,20",
-                             "--lo", "500", "--hi", "100")
+                             "--lo", "100", "--hi", "100")
         assert code == 1, err
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "89351aa848cc8db6a2f31729694b130ce54eaacf3399b882393cc5b54c0d6620"
+            "e02c5305e4adf6b52b31882a7802fe68ec14c74864965956f65d7d8382eaa64b"
         )

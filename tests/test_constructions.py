@@ -186,6 +186,10 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             unit_fraction_decomposition(Fraction(5), 4)
 
+    def test_term_cap_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_terms must be >= 1"):
+            unit_fraction_decomposition(Fraction(8, 11), 0)
+
 
 class TestMeanConstantInverse:
     def test_forbidden_value(self):

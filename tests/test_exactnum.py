@@ -11,15 +11,13 @@ from hypothesis import strategies as st
 from factorlengths.cli import _plain
 from factorlengths.exactnum import (
     QuadNumber,
-    compare_quadratics,
     factorize,
     is_prime,
-    parse_rational,
     quad_sqrt,
     squarefree_decompose,
 )
 
-from oracles import brute_is_prime
+from oracles import brute_is_prime, compare_quadratics
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 
@@ -34,12 +32,6 @@ class TestRationalPlumbing:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             Fraction(1, 3) / Fraction(0)
-
-    def test_parse(self):
-        assert parse_rational("221/14") == Fraction(221, 14)
-        assert parse_rational("3") == Fraction(3)
-        assert str(Fraction(3, 1)) == "3"
-        assert str(Fraction(-1, 2)) == "-1/2"
 
     @given(rationals)
     def test_additive_identity(self, x):
@@ -157,13 +149,6 @@ class TestQuadNumber:
         x = QuadNumber(Fraction(1), Fraction(2), 3)
         assert 2 * x == QuadNumber(Fraction(2), Fraction(4), 3)
         assert 1 - x == QuadNumber(Fraction(0), Fraction(-2), 3)
-        assert (x / 2) * 2 == x
-
-    def test_inverse(self):
-        x = QuadNumber(Fraction(1), Fraction(2), 3)
-        assert x * x.inverse() == QuadNumber.from_rational(1)
-        with pytest.raises(ZeroDivisionError):
-            QuadNumber.from_rational(0).inverse()
 
     def test_sign_and_ordering_same_field(self):
         small = QuadNumber(Fraction(-1), Fraction(1), 2)  # sqrt(2) - 1 > 0
@@ -181,7 +166,10 @@ class TestQuadNumber:
         # 2 + sqrt(2) > sqrt(6)
         assert compare_quadratics(2 + sqrt2, quad_sqrt(6)) > 0
         assert compare_quadratics(sqrt2, sqrt2) == 0
-        assert sqrt2 < sqrt3 < 2 < 1 + sqrt2
+        assert sqrt2 < 2 < 1 + sqrt2 and sqrt3 < 2
+        # ordering itself stays within one field, as addition does
+        with pytest.raises(ValueError):
+            sqrt2 < sqrt3
 
     def test_non_strict_ordering_against_int_and_fraction(self):
         """<= and >= hold on equal values of another type, where == is False."""
@@ -198,6 +186,7 @@ class TestQuadNumber:
         qx, qy = QuadNumber.from_rational(x), QuadNumber.from_rational(y)
         expected = (x > y) - (x < y)
         assert compare_quadratics(qx, qy) == expected
+        assert (qx > qy) - (qx < qy) == expected
 
     def test_approx_digits(self):
         q = QuadNumber(Fraction(1, 48), Fraction(-1, 3360), 2)

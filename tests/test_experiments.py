@@ -138,11 +138,12 @@ class TestModeTheorem:
 class TestStructureTheorem:
     def test_mcnugget_132_gaps(self):
         S = make_semigroup([6, 9, 20])
-        low, high = end_gaps(S, 132)
+        low, high = end_gaps(length_multiset(S, 132), S.delta)
         assert low == [9, 10] and high == []
 
     def test_trivial_zero(self):
-        assert end_gaps(make_semigroup([6, 9, 20]), 0) == ([], [])
+        S = make_semigroup([6, 9, 20])
+        assert end_gaps(length_multiset(S, 0), S.delta) == ([], [])
 
     @pytest.mark.parametrize("gens", [(6, 9, 20), (3, 5, 7), (7, 16, 25)])
     def test_windows_bounded(self, gens):
@@ -170,6 +171,10 @@ class TestStructureTheorem:
         S = make_semigroup([3, 5, 7])
         report = verify_structure_theorem(S, 630, 630)
         assert report.checked == 1 and report.bounded
+
+    def test_inverted_window_rejected(self):
+        with pytest.raises(ValueError, match="n_hi must be >= n_lo"):
+            verify_structure_theorem(make_semigroup([6, 9, 20]), 500, 100)
 
 
 class TestQuasilinearityProbe:

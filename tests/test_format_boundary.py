@@ -1,5 +1,7 @@
-"""The JSON form of results lives in one module: `cli` alone imports json,
-and no module spells a `to_json` or `from_json` of its own."""
+"""Module boundaries checked on the source: the JSON form of results lives
+in one module (`cli` alone imports json, and no module spells a `to_json`
+or `from_json` of its own), and no package module or script imports a name
+it does not use."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "factorlengths"
 MODULES = sorted(PACKAGE.glob("*.py"))
+SCRIPTS = sorted((PACKAGE.parent.parent / "scripts").glob("*.py"))
 
 
 def test_package_found():
@@ -34,3 +37,23 @@ def test_json_stays_in_cli(path):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
     assert not defined & {"to_json", "from_json"}
+
+
+def _unused_imports(tree: ast.AST) -> list[str]:
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in MODULES if path.name != "__init__.py"] + SCRIPTS,
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_every_import_is_used(path):
+    assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []

@@ -163,6 +163,12 @@ class TestModeRecurrence:
     @pytest.mark.parametrize("gens", [(3, 5, 7), (6, 9, 20), (7, 16, 25)])
     @pytest.mark.parametrize("k", [1, 2])
     def test_mode_singleton_at_distinguished_scale(self, gens, k):
-        from factorlengths.asymptotics import mode_is_scaled_singleton
+        """At n = k*scale the mode is the single length n/n2 with
+        multiplicity num_trades + 1, and the extremes match the closed forms."""
+        from factorlengths.asymptotics import scaled_sequence
 
-        assert mode_is_scaled_singleton(make_semigroup(gens), k)
+        S = make_semigroup(gens)
+        seq = scaled_sequence(S, k)
+        ms = length_multiset(S, seq.element)
+        assert mode(ms) == ((seq.mode_len,), seq.num_trades + 1)
+        assert (ms.min_length, ms.max_length) == (seq.min_len, seq.max_len)
