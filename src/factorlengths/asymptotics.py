@@ -140,13 +140,16 @@ class TriangularModel:
     median: QuadNumber
 
     def density(self, x: Fraction) -> Fraction:
-        if not 0 <= x <= 1:
+        # x = p/q and F = a/b: compare and build on the integer terms
+        p, q = x.numerator, x.denominator
+        a, b = self.peak.numerator, self.peak.denominator
+        if not 0 <= p <= q:
             raise ValueError(f"{x} outside [0, 1]")
-        if x == self.peak:
+        if p * b == a * q:
             return Fraction(2)
-        if x < self.peak:
-            return 2 * x / self.peak
-        return 2 * (1 - x) / (1 - self.peak)
+        if p * b < a * q:
+            return Fraction(2 * p * b, q * a)
+        return Fraction(2 * (q - p) * b, q * (b - a))
 
 
 def triangular_model(F: Fraction) -> TriangularModel:
@@ -205,25 +208,21 @@ def normalized_histogram(S: Semigroup, k: int) -> NormalizedHistogram:
     seq = scaled_sequence(S, k)
     ms = length_multiset(S, seq.element)
     delta = seq.trade.delta
-    span = seq.max_len - seq.min_len
-    scale_down = Fraction(span, delta * ms.total)
-    half_step = Fraction(delta, 2)
+    lo, mode = seq.min_len, seq.mode_len
+    span = seq.max_len - lo
+    weight = delta * ms.total
     steps = []
     for ell, mult in ms.items():
-        position = Fraction(ell - seq.min_len, span)
-        if ell < seq.mode_len:
-            mid = ell + half_step
-        elif ell > seq.mode_len:
-            mid = ell - half_step
-        else:
-            mid = Fraction(ell)
+        # the step runs from ell towards the peak, so its midpoint is
+        # ell + delta/2 below the mode, ell - delta/2 above it, ell at it
+        side = (ell < mode) - (ell > mode)
         steps.append(
             NormalizedStep(
                 length=ell,
-                position=position,
-                midpoint=Fraction(mid - seq.min_len, span),
-                density=mult * scale_down,
-                at_peak=ell == seq.mode_len,
+                position=Fraction(ell - lo, span),
+                midpoint=Fraction(2 * (ell - lo) + side * delta, 2 * span),
+                density=Fraction(mult * span, weight),
+                at_peak=ell == mode,
             )
         )
     return NormalizedHistogram(

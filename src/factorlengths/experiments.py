@@ -209,7 +209,9 @@ def verify_structure_theorem(
     through the extremes, missing lengths cluster at the ends, and the end-gap
     extent seen in the second half of the window never exceeds the first half.
 
-    The default window starts at 4*n3**2 and spans four trade elements.
+    The default window starts at 4*n3**2 and spans four trade elements.  A
+    window holding fewer than two elements of S has no two halves to compare
+    and raises ValueError.
     """
     if S.k != 3:
         raise ValueError("structure check requires 3 generators")
@@ -237,20 +239,23 @@ def verify_structure_theorem(
             (low_missing[-1] - lo) // delta + 1 if low_missing else 0,
             (hi - high_missing[0]) // delta + 1 if high_missing else 0,
         ))
+    if checked < 2:
+        raise ValueError(
+            f"window [{n_lo}, {n_hi}] holds {checked} element(s) of the semigroup; "
+            "the structure check needs at least 2"
+        )
     half = len(extents) // 2
-    bounded = bool(extents) and (
-        max((e[0] for e in extents[half:]), default=0)
-        <= max((e[0] for e in extents[:half]), default=0)
-        and max((e[1] for e in extents[half:]), default=0)
-        <= max((e[1] for e in extents[:half]), default=0)
+    bounded = (
+        max(e[0] for e in extents[half:]) <= max(e[0] for e in extents[:half])
+        and max(e[1] for e in extents[half:]) <= max(e[1] for e in extents[:half])
     )
     return StructureReport(
         semigroup=S,
         delta=delta,
         window=(n_lo, n_hi),
         checked=checked,
-        max_low_extent=max((e[0] for e in extents), default=0),
-        max_high_extent=max((e[1] for e in extents), default=0),
+        max_low_extent=max(e[0] for e in extents),
+        max_high_extent=max(e[1] for e in extents),
         bounded=bounded,
         violations=tuple(violations),
     )

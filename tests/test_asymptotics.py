@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from factorlengths.asymptotics import (
+    NormalizedStep,
     asymptotic_constants,
     asymptotic_mean,
     asymptotic_median,
@@ -212,6 +213,87 @@ class TestNormalizedHistogram:
         hist = normalized_histogram(make_semigroup([3, 5, 7]), 2)
         tallest = max(hist.steps, key=lambda s: s.density)
         assert abs(tallest.position - hist.fulcrum) <= hist.step_width
+
+
+def _small_random_semigroups(count: int, max_lengths: int) -> list[tuple[int, int, int]]:
+    """Seeded generators below 30 whose histogram at k = 1 has at most
+    max_lengths lengths, so the Fraction references stay fast."""
+    rng = random.Random(14)
+    out = []
+    while len(out) < count:
+        S = make_semigroup(random_semigroup_3(rng, hi=30))
+        seq = scaled_sequence(S, 1)
+        if (seq.max_len - seq.min_len) // seq.trade.delta < max_lengths:
+            out.append(S.gens)
+    return out
+
+
+def _steps_from_fraction_sums(S, k: int) -> tuple[NormalizedStep, ...]:
+    """normalized_histogram's steps from Fraction sums and products."""
+    seq = scaled_sequence(S, k)
+    ms = length_multiset(S, seq.element)
+    delta = seq.trade.delta
+    span = seq.max_len - seq.min_len
+    scale_down = Fraction(span, delta * ms.total)
+    half_step = Fraction(delta, 2)
+    steps = []
+    for ell, mult in ms.items():
+        if ell < seq.mode_len:
+            mid = ell + half_step
+        elif ell > seq.mode_len:
+            mid = ell - half_step
+        else:
+            mid = Fraction(ell)
+        steps.append(
+            NormalizedStep(
+                length=ell,
+                position=Fraction(ell - seq.min_len, span),
+                midpoint=Fraction(mid - seq.min_len, span),
+                density=mult * scale_down,
+                at_peak=ell == seq.mode_len,
+            )
+        )
+    return tuple(steps)
+
+
+def _density_from_fraction_quotients(F: Fraction, x: Fraction) -> Fraction:
+    """Triangular density with peak (F, 2) on [0, 1]."""
+    if x == F:
+        return Fraction(2)
+    if x < F:
+        return 2 * x / F
+    return 2 * (1 - x) / (1 - F)
+
+
+class TestIntegerLoopsMatchFractions:
+    """normalized_histogram and TriangularModel.density build each Fraction
+    from integer terms; the Fraction arithmetic they replaced is the
+    reference."""
+
+    @pytest.mark.parametrize("gens", [(3, 5, 7), (5, 8, 13), (6, 9, 20), (7, 16, 25), (12, 15, 20)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_named_semigroups(self, gens, k):
+        S = make_semigroup(gens)
+        assert normalized_histogram(S, k).steps == _steps_from_fraction_sums(S, k)
+
+    @pytest.mark.parametrize("gens", _small_random_semigroups(20, 5_000))
+    def test_random_semigroups(self, gens):
+        S = make_semigroup(gens)
+        assert normalized_histogram(S, 1).steps == _steps_from_fraction_sums(S, 1)
+
+    def test_density(self):
+        rng = random.Random(14)
+        peaks = [Fraction(0), HALF, Fraction(1)]
+        peaks += [Fraction(rng.randint(1, 99), 100) for _ in range(20)]
+        for F in peaks:
+            model = triangular_model(F)
+            xs = [F, Fraction(0), Fraction(1)]
+            xs += [Fraction(rng.randint(0, q), q) for q in rng.choices(range(1, 500), k=40)]
+            for x in xs:
+                assert model.density(x) == _density_from_fraction_quotients(F, x), (F, x)
+            for x in (Fraction(-1, 7), Fraction(8, 7)):
+                with pytest.raises(ValueError, match="outside"):
+                    model.density(x)
 
 
 class TestMedianRadicandForms:

@@ -227,7 +227,9 @@ class TestUsageErrors:
         (("verify", "structure", "-s", "6,9,20", "--lo", "500", "--hi", "100"), "n_lo", None),
         (("egyptian", "8/11", "--terms", "0"), "max_terms", "target"),
         (("egyptian", "1/0"), "zero denominator", None),
-    ], ids=["inverted-structure-window", "zero-terms", "zero-denominator"])
+        (("verify", "structure", "-s", "6,9,20", "--lo", "100", "--hi", "100"), "at least 2", None),
+    ], ids=["inverted-structure-window", "zero-terms", "zero-denominator",
+            "one-element-structure-window"])
     def test_usage_errors_exit_2(self, capsys, argv, named, not_named):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
@@ -348,10 +350,11 @@ class TestGoldenBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_failed_verification_digest(self, capsys):
-        # a one-element window cannot show bounded end gaps, so the verdict fails
+        # 50..60 are 11 elements; 60 = 3*20 misses lengths 4, 5 and 6, a low
+        # end gap the first half never shows, so the verdict fails
         code, out, err = run(capsys, "verify", "structure", "-s", "6,9,20",
-                             "--lo", "100", "--hi", "100")
+                             "--lo", "50", "--hi", "60")
         assert code == 1, err
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "e02c5305e4adf6b52b31882a7802fe68ec14c74864965956f65d7d8382eaa64b"
+            "f5bf5498f9605d31199d7728959ae56e44cc373154a69ed8cc7713a2eeadcc0f"
         )

@@ -167,10 +167,12 @@ class TestStructureTheorem:
         assert report.window == (196, 196 + 4 * 10)
         assert report.ok
 
-    def test_tiny_window_does_not_crash(self):
-        S = make_semigroup([3, 5, 7])
-        report = verify_structure_theorem(S, 630, 630)
-        assert report.checked == 1 and report.bounded
+    @pytest.mark.parametrize("gens,lo,hi", [((3, 5, 7), 630, 630), ((6, 9, 20), 100, 100),
+                                            ((6, 9, 20), 1, 5)])
+    def test_tiny_window_rejected(self, gens, lo, hi):
+        """One element, or none, has no two halves whose end gaps compare."""
+        with pytest.raises(ValueError, match="needs at least 2"):
+            verify_structure_theorem(make_semigroup(gens), lo, hi)
 
     def test_inverted_window_rejected(self):
         with pytest.raises(ValueError, match="n_hi must be >= n_lo"):
