@@ -153,7 +153,7 @@ def _cmd_egyptian(args) -> int:
     except ZeroDivisionError:
         raise ValueError(f"target {args.target} has a zero denominator") from None
     if args.all_3:
-        sols = constructions.three_unit_fractions(target, distinct=True)
+        sols = constructions.three_unit_fractions(target)
         payload = {"target": target, "three_term_solutions": sols}
     else:
         decomposition = constructions.unit_fraction_decomposition(target, args.terms)
@@ -250,19 +250,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=1, help="multiple of the distinguished scale")
     p.set_defaults(func=_cmd_model)
 
-    p = sub.add_parser("construct", parents=[common],
+    p = sub.add_parser("construct",
                        help="semigroup families with prescribed median arithmetic")
     fam = p.add_subparsers(dest="family", required=True)
     fp = fam.add_parser("pythagorean", parents=[common])
     fp.add_argument("a", type=int)
     fp.add_argument("b", type=int)
     fp.add_argument("c", type=int)
-    fp.set_defaults(func=_cmd_construct, family="pythagorean")
+    fp.set_defaults(func=_cmd_construct)
     fs = fam.add_parser("sqrtd", parents=[common])
     fs.add_argument("d", type=int)
     fs.add_argument("t", type=int, nargs="?")
     fs.add_argument("--t-max", type=int, help="scan all t up to this bound instead")
-    fs.set_defaults(func=_cmd_construct, family="sqrtd")
+    fs.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("egyptian", parents=[common], help="unit-fraction decompositions")
     p.add_argument("target", help="rational target like 8/11")
@@ -272,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[sg], help="convergence of mean/median ratios, CSV")
     p.add_argument("--points", help="comma-separated elements (default: geometric grid)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted and ignored: the sweep runs in one process")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", parents=[sg], help="run one empirical verifier")

@@ -97,8 +97,8 @@ def find_sqrt_d_params(d: int, t_max: int) -> list[int]:
     ]
 
 
-def three_unit_fractions(target: Fraction, distinct: bool = True) -> list[tuple[int, int, int]]:
-    """All (d1 <= d2 <= d3) with 1/d1 + 1/d2 + 1/d3 = target (strict if distinct).
+def three_unit_fractions(target: Fraction) -> list[tuple[int, int, int]]:
+    """All (d1 < d2 < d3) with 1/d1 + 1/d2 + 1/d3 = target.
 
     Complete by construction: the leading denominator of a tail summing to r
     with j terms left lies in [ceil(1/r), floor(j/r)], and the final
@@ -107,18 +107,17 @@ def three_unit_fractions(target: Fraction, distinct: bool = True) -> list[tuple[
     target = Fraction(target)
     if target <= 0:
         raise ValueError(f"target must be positive, got {target}")
-    bump = 1 if distinct else 0
     out: list[tuple[int, int, int]] = []
     for d1 in range(math.ceil(1 / target), int(3 / target) + 1):
         r1 = target - Fraction(1, d1)
         if r1 <= 0:
             continue
-        for d2 in range(max(d1 + bump, math.ceil(1 / r1)), int(2 / r1) + 1):
+        for d2 in range(max(d1 + 1, math.ceil(1 / r1)), int(2 / r1) + 1):
             r2 = r1 - Fraction(1, d2)
             if r2 <= 0 or r2.numerator != 1:
                 continue
             d3 = r2.denominator
-            if d3 > d2 or (not distinct and d3 == d2):
+            if d3 > d2:
                 out.append((d1, d2, d3))
     return out
 
@@ -170,7 +169,7 @@ def mean_constant_inverse(target: Fraction) -> list[Semigroup]:
     if not 0 < target < _MEAN_SUP:
         raise ValueError(f"target must lie strictly in (0, {_MEAN_SUP}), got {target}")
     out = []
-    for triple in three_unit_fractions(3 * target, distinct=True):
+    for triple in three_unit_fractions(3 * target):
         if math.gcd(triple[0], math.gcd(triple[1], triple[2])) == 1:
             out.append(make_semigroup(triple))
     return out

@@ -69,12 +69,8 @@ def _scan_three(gens: tuple[int, int, int], n: int, base_len: int, hist: dict[in
     step = g // d
     if step > 1:
         lo += ((n // d) * pow(n1 // d, -1, step) - lo) % step
-    else:
-        step = 1
     for ell in range(lo, hi + 1, step):
         R = n - ell * n1
-        if R % g:
-            continue
         x20 = u * (R // g)
         x30 = (R - A * x20) // B
         j_hi = x30 // Ag
@@ -104,12 +100,13 @@ def _scan_two(gens: tuple[int, int], n: int, base_len: int, hist: dict[int, int]
         x1 += mod
 
 
-def _length_counts(S: Semigroup, n: int) -> dict[int, int]:
-    """Raw {length: multiplicity} map, empty when n has no factorization."""
+def length_multiset(S: Semigroup, n: int) -> LengthMultiset:
+    """Length multiset of n, computed without materializing factorizations."""
     hist: dict[int, int] = {}
-    if n < 0:
-        return hist
     gens = S.gens
+    # The k = 2 and k = 3 scans insert lengths in ascending order: _scan_three
+    # walks ell upward, and each _scan_two step raises x1 by n2/g, which
+    # raises the length by (n2 - n1)/g.  Only descend's scans can interleave.
     if S.k == 2:
         _scan_two(gens, n, 0, hist)
     elif S.k == 3:
@@ -126,15 +123,10 @@ def _length_counts(S: Semigroup, n: int) -> dict[int, int]:
                 descend(idx - 1, rem - c * g, base_len + c)
 
         descend(S.k - 1, n, 0)
-    return dict(sorted(hist.items()))
-
-
-def length_multiset(S: Semigroup, n: int) -> LengthMultiset:
-    """Length multiset of n, computed without materializing factorizations."""
-    counts = _length_counts(S, n)
-    if not counts:
+        hist = dict(sorted(hist.items()))
+    if not hist:
         raise NotInSemigroup(f"{n} not in semigroup {S}")
-    return LengthMultiset(entries=counts, total=sum(counts.values()))
+    return LengthMultiset(entries=hist, total=sum(hist.values()))
 
 
 def histogram_rows(ms: LengthMultiset, include_zeros: bool = False) -> list[tuple[int, int]]:

@@ -131,6 +131,20 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "sqrtd", "2")
         assert code == 2 and "t-max" in err
 
+    def test_out_after_family_arguments(self, capsys, tmp_path):
+        path = tmp_path / "construct.json"
+        code, out, _ = run(capsys, "construct", "pythagorean", "4", "3", "5", "--out", str(path))
+        assert code == 0 and out == ""
+        assert json.loads(path.read_text())["semigroup"]["gens"] == [7, 16, 25]
+
+    def test_out_before_family_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "construct.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["construct", "--out", str(path), "pythagorean", "4", "3", "5"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not path.exists()
+
     def test_invalid_triple_exit_2(self, capsys):
         code, _, err = run(capsys, "construct", "pythagorean", "3", "4", "5")
         assert code == 2 and "a > b" in err
@@ -157,10 +171,11 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].startswith("105,")
 
-    def test_jobs_do_not_change_bytes(self, capsys):
-        _, out1, _ = run(capsys, "sweep", "-s", "3,5,7", "--points", "105,210")
-        _, out2, _ = run(capsys, "sweep", "-s", "3,5,7", "--points", "105,210", "--jobs", "2")
-        assert out1 == out2
+    def test_jobs_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "-s", "3,5,7", "--points", "105,210", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestVerify:
@@ -318,9 +333,6 @@ class TestGoldenBytes:
             # skipped points print no row
             ("sweep -s 6,9,20 --points 131,132,7,0",
              "cd442d08084ee8dd066467e8e80c7af02351e96fe7571fd3601015af95d39b12"),
-            # --jobs is accepted and ignored
-            ("sweep -s 3,5,7 --jobs 2",
-             "a45675ab2567e754e3c4664a0584a2944057d206daaf726f0a87d5d997cddfd8"),
             # every JSON shape: rejection, parameter scan, k = 2 and k = 4
             # reports, n = 0, a rational median, a wide histo4
             ("construct sqrtd 2 2",

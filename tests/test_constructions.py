@@ -135,11 +135,6 @@ class TestThreeUnitFractions:
             target = Fraction(num, den)
             assert set(three_unit_fractions(target)) == brute_three_unit_fractions(target)
 
-    def test_nondistinct_mode(self):
-        sols = three_unit_fractions(Fraction(3, 5), distinct=False)
-        assert (5, 5, 5) in sols
-        assert all(d1 <= d2 <= d3 for d1, d2, d3 in sols)
-
     def test_positive_target_required(self):
         with pytest.raises(ValueError):
             three_unit_fractions(Fraction(0))

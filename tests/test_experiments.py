@@ -54,10 +54,14 @@ class TestConvergenceSweep:
         assert errs == sorted(errs, reverse=True)
         assert errs[-1] < 5e-3
         assert all(r.median_err < 5e-3 for r in result.rows)
+        median_c = asymptotic_median(S)
         for row in result.rows:
-            assert row.mean_err_exact == abs(row.mean_ratio - Fraction(71, 315))
-            assert row.median_err_exact.sign() >= 0
-            assert abs(float(row.median_err_exact) - row.median_err) < 1e-12
+            mean_err = abs(row.mean_ratio - Fraction(71, 315))
+            median_err = median_c - row.median_ratio
+            if median_err.sign() < 0:
+                median_err = -median_err
+            assert row.mean_err == float(mean_err)
+            assert abs(float(median_err) - row.median_err) < 1e-12
 
     def test_skips_non_elements(self):
         S = make_semigroup([6, 9, 20])
@@ -219,12 +223,6 @@ class TestQuasilinearityProbe:
         payload = _plain(verdict)
         assert payload["verdict"] == "quasilinear"
         assert payload["probes"][0]["checked"] > 0
-
-    def test_small_window_rejected(self):
-        with pytest.raises(ValueError):
-            probe_median_quasilinearity(
-                make_semigroup([12, 15, 20]), window_periods=2
-            )
 
     def test_empty_window_is_inconclusive(self):
         """[-100, -4] holds no element of S, so a clean scan proves nothing."""

@@ -1,5 +1,8 @@
 """Closed length counting against the enumeration oracle."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +129,52 @@ class TestLengthMultiset:
             assert all(v == 1 for v in counted.values())
 
 
+class TestKeyOrder:
+    """min_length, max_length and median_length read the key order of
+    LengthMultiset.entries, which dict equality ignores: the k = 2 and k = 3
+    scans must insert lengths ascending, and k >= 4 must sort."""
+
+    @staticmethod
+    def check(S, n):
+        expected = sorted(brute_length_counter(S.gens, n).items())
+        try:
+            ms = length_multiset(S, n)
+        except NotInSemigroup:
+            assert expected == [], (S.gens, n)
+            return
+        assert list(ms.entries) == sorted(ms.entries), (S.gens, n)
+        assert list(ms.entries.items()) == expected, (S.gens, n)
+        assert ms.total == sum(count for _, count in expected)
+
+    @pytest.mark.parametrize("gens,n_max", [
+        ((4, 7), 400), ((5, 8), 400),
+        ((3, 5, 7), 900), ((48, 49, 50), 3000), ((6, 9, 20), 1200),
+        ((4, 6, 8, 9), 200), ((5, 7, 8, 9, 11), 120),
+        # descend's scans interleave lengths here, so only the sort orders them
+        ((6, 10, 14, 15), 200), ((4, 6, 9, 11), 200),
+    ])
+    def test_named_semigroups(self, gens, n_max):
+        S = make_semigroup(gens)
+        rng = random.Random(sum(gens))
+        points = [-5, -1, 0, *range(1, gens[0]), *(rng.randint(0, n_max) for _ in range(40))]
+        for n in points:
+            self.check(S, n)
+
+    def test_random_semigroups(self):
+        rng = random.Random(15)
+        checked = 0
+        while checked < 60:
+            k = rng.choice((2, 3, 3, 4))
+            gens = sorted(rng.sample(range(2, 30), k))
+            if math.gcd(*gens) != 1:
+                continue
+            S = make_semigroup(gens)
+            n_max = 600 if k < 4 else 150
+            for n in (0, rng.randint(1, gens[0] * 4), rng.randint(0, n_max)):
+                self.check(S, n)
+            checked += 1
+
+
 class TestCounting:
     def test_matches_enumeration(self):
         S = make_semigroup([3, 5, 7])
@@ -201,8 +250,6 @@ class TestHistogramRows:
     n=st.integers(0, 250),
 )
 def test_multiset_equals_enumeration_property(gens, n):
-    import math
-
     if math.gcd(gens[0], math.gcd(gens[1], gens[2])) != 1:
         return
     S = make_semigroup(gens)
