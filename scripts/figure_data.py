@@ -1,69 +1,42 @@
 #!/usr/bin/env python3
 """Emit the CSV data behind the headline plots into an output directory.
 
-Produces:
-  multiplicity_630_3_5_7.csv     multiplicity function of 630 in <3,5,7>
-                                 (zeros included: every other length is 0)
-  model_3_5_7_k{1,2,3}.csv       normalized histogram vs triangular density
-  multiplicity_1680_4_5_6_7.csv  4-generator histogram with its inflections
-  multiplicity_2520_5_7_8_9_11.csv
+Each file is the output of one factorlengths command line, written through
+the CLI's --out (FIGURES lists them): the multiplicity functions of 630 in
+<3,5,7>, of 1680 in <4,5,6,7> and of 2520 in <5,7,8,9,11>, zeros included,
+and the normalized histogram of <3,5,7> against the triangular model for
+k = 1, 2, 3.  `factorlengths histo4 -s 4,5,6,7 -n 1680` prints the
+inflections and the peak of the 4-generator histogram.
 """
 
 import argparse
-import csv
 import pathlib
+import sys
 
-from factorlengths.asymptotics import normalized_histogram, triangular_model
-from factorlengths.experiments import multi_generator_histogram
-from factorlengths.factorization import histogram_rows, length_multiset
-from factorlengths.semigroup import make_semigroup
+from factorlengths import cli
+
+FIGURES = [
+    ("multiplicity_630_3_5_7.csv", ["histogram", "-s", "3,5,7", "-n", "630", "--include-zeros"]),
+    *[(f"model_3_5_7_k{k}.csv", ["model", "-s", "3,5,7", "-k", str(k)]) for k in (1, 2, 3)],
+    ("multiplicity_1680_4_5_6_7.csv",
+     ["histogram", "-s", "4,5,6,7", "-n", "1680", "--include-zeros"]),
+    ("multiplicity_2520_5_7_8_9_11.csv",
+     ["histogram", "-s", "5,7,8,9,11", "-n", "2520", "--include-zeros"]),
+]
 
 
-def write_csv(path: pathlib.Path, header, rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    print(f"wrote {path}")
-
-
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="figure_data")
-    args = parser.parse_args()
-    out = pathlib.Path(args.out_dir)
+    out = pathlib.Path(parser.parse_args().out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    S = make_semigroup([3, 5, 7])
-    rows = histogram_rows(length_multiset(S, 630), include_zeros=True)
-    write_csv(out / "multiplicity_630_3_5_7.csv", ["length", "multiplicity"], rows)
-
-    model = triangular_model(normalized_histogram(S, 1).fulcrum)
-    for k in (1, 2, 3):
-        hist = normalized_histogram(S, k)
-        rows = [
-            (
-                format(float(step.midpoint), ".12g"),
-                format(float(step.density), ".12g"),
-                format(float(model.density(step.midpoint)), ".12g"),
-            )
-            for step in hist.steps
-        ]
-        write_csv(out / f"model_3_5_7_k{k}.csv", ["x", "empirical", "model"], rows)
-
-    for gens, n in [((4, 5, 6, 7), 1680), ((5, 7, 8, 9, 11), 2520)]:
-        exploration = multi_generator_histogram(make_semigroup(gens), n)
-        name = f"multiplicity_{n}_{'_'.join(map(str, gens))}.csv"
-        write_csv(
-            out / name,
-            ["length", "multiplicity"],
-            histogram_rows(exploration.multiset, include_zeros=True),
-        )
-        print(
-            f"  {gens} n={n}: inflection candidates {exploration.inflection_candidates}, "
-            f"peak at {exploration.peak_lengths}"
-        )
+    for name, argv in FIGURES:
+        code = cli.main([*argv, "--out", str(out / name)])
+        if code:
+            return code
+        print(f"wrote {out / name}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

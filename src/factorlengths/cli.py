@@ -135,8 +135,6 @@ def _cmd_construct(args) -> int:
                 for t in accepted
             ],
         }
-    elif args.t is None:
-        raise ValueError("construct sqrtd needs either t or --t-max")
     else:
         result = constructions.sqrt_d_semigroup(args.d, args.t)
         if isinstance(result, constructions.ConstructionRejection):
@@ -260,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     fp.set_defaults(func=_cmd_construct)
     fs = fam.add_parser("sqrtd", parents=[common])
     fs.add_argument("d", type=int)
-    fs.add_argument("t", type=int, nargs="?")
-    fs.add_argument("--t-max", type=int, help="scan all t up to this bound instead")
+    which_t = fs.add_mutually_exclusive_group(required=True)
+    which_t.add_argument("t", type=int, nargs="?")
+    which_t.add_argument("--t-max", type=int, help="scan all t up to this bound instead")
     fs.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("egyptian", parents=[common], help="unit-fraction decompositions")

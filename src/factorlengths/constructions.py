@@ -92,6 +92,8 @@ def sqrt_d_semigroup(d: int, t: int) -> Semigroup | ConstructionRejection:
 
 def find_sqrt_d_params(d: int, t_max: int) -> list[int]:
     """All t <= t_max accepted by sqrt_d_semigroup."""
+    if t_max < 1:
+        raise ValueError(f"need t_max >= 1, got {t_max}")
     return [
         t for t in range(1, t_max + 1) if isinstance(sqrt_d_semigroup(d, t), Semigroup)
     ]

@@ -3,14 +3,14 @@
 Rationals are stdlib ``fractions.Fraction`` throughout (arbitrary precision,
 canonical gcd-reduced form for free).  On top of that this module provides
 ``QuadNumber``, an exact element a + b*sqrt(m) of a real quadratic field,
-with canonicalization, ring arithmetic, and exact sign tests and ordering
-within one field that never touch floating point.
+with canonicalization, ring arithmetic and a decimal printer: enough to
+state an exact median constant.  It has no ordering; the exact sign test
+the tests need lives with their oracles.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -122,23 +122,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return root, core
 
 
-def _sign_single(a: Fraction, b: Fraction, m: int) -> int:
-    """Exact sign of a + b*sqrt(m) for m >= 1."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return 1 if b > 0 else -1
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    lhs = a * a
-    rhs = b * b * m
-    if a > 0:  # b < 0: sign of a**2 - b**2 m
-        return (lhs > rhs) - (lhs < rhs)
-    return (rhs > lhs) - (rhs < lhs)
-
-
 @dataclass(frozen=True)
 class QuadNumber:
     """Exact a + b*sqrt(m) with a, b rational and m a positive squarefree integer.
@@ -175,11 +158,6 @@ class QuadNumber:
     @property
     def is_rational(self) -> bool:
         return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.a
 
     def _coerce(self, other) -> "QuadNumber | None":
         if isinstance(other, QuadNumber):
@@ -229,35 +207,6 @@ class QuadNumber:
 
     __rmul__ = __mul__
 
-    def sign(self) -> int:
-        return _sign_single(self.a, self.b, self.m)
-
-    def _compare(self, other, accept) -> bool:
-        """accept(sign of self - other, 0); NotImplemented for foreign types.
-
-        Orders values within one quadratic field, and against int and
-        Fraction; values over two different radicals raise ValueError, as
-        their sum does.  Not functools.total_ordering: its derived <= and >=
-        fall back to ==, and dataclass equality is False against int and
-        Fraction.
-        """
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return accept((self - o).sign(), 0)
-
-    def __lt__(self, other) -> bool:
-        return self._compare(other, operator.lt)
-
-    def __le__(self, other) -> bool:
-        return self._compare(other, operator.le)
-
-    def __gt__(self, other) -> bool:
-        return self._compare(other, operator.gt)
-
-    def __ge__(self, other) -> bool:
-        return self._compare(other, operator.ge)
-
     def approx_fraction(self, digits: int = 30) -> Fraction:
         """Rational approximation accurate to ~digits decimal places."""
         if self.b == 0:
@@ -273,9 +222,6 @@ class QuadNumber:
             ctx.prec = significant
             value = Decimal(approx.numerator) / Decimal(approx.denominator)
         return str(value)
-
-    def __float__(self) -> float:
-        return float(self.approx_fraction(25))
 
     def __str__(self) -> str:
         if self.is_rational:

@@ -321,6 +321,8 @@ def probe_median_quasilinearity(
         periods = candidate_periods(S)
     if any(p <= 0 for p in periods):
         raise ValueError(f"periods must be positive, got {list(periods)}")
+    if max_checks < 1:
+        raise ValueError(f"max_checks must be positive, got {max_checks}")
     if start is None:
         start = 4 * S.gens[2] ** 2
 

@@ -5,9 +5,13 @@ nested scans and trial division, slow but obviously correct.
 ``enumerate_factorizations`` lists every coefficient tuple; the closed
 lattice-point counting in ``factorlengths.factorization`` is checked against
 it, and the blind ``itertools.product`` scan of ``brute_factorizations``
-checks the enumerator in turn.  ``compare_quadratics`` orders values over
-two different radicals, which ``QuadNumber`` itself refuses; it needs only
-single-field sign tests.
+checks the enumerator in turn.  ``QuadNumber`` has no ordering, so the
+exact sign of a + b*sqrt(m) is here: ``quad_sign`` clears denominators and
+compares integer squares.  ``compare_quadratics`` builds on it to order
+values over two different radicals.
+
+Imports stay stdlib plus ``factorlengths``: the benchmark loads this file
+too, and a test-only dependency here would change what it runs.
 """
 
 from __future__ import annotations
@@ -126,6 +130,24 @@ def random_semigroup_3(rng, lo: int = 2, hi: int = 400) -> tuple[int, int, int]:
             return tuple(gens)
 
 
+def quad_sign(q: QuadNumber) -> int:
+    """Exact sign of a + b*sqrt(m) in integers, with no floating point.
+
+    Over the common denominator a.denominator * b.denominator the value is
+    x + y*sqrt(m) for integers x and y.  When x and y differ in sign, the
+    larger of x**2 and y**2 * m decides.
+    """
+    x = q.a.numerator * q.b.denominator
+    y = q.b.numerator * q.a.denominator
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx == sy or sy == 0:
+        return sx
+    if sx == 0:
+        return sy
+    lhs, rhs = x * x, y * y * q.m
+    return sx * ((lhs > rhs) - (lhs < rhs))
+
+
 def compare_quadratics(x: QuadNumber, y: QuadNumber) -> int:
     """Exact sign of x - y, allowing x and y to live over different radicals.
 
@@ -134,12 +156,12 @@ def compare_quadratics(x: QuadNumber, y: QuadNumber) -> int:
     no floating point is involved.
     """
     if x.m == y.m or x.is_rational or y.is_rational:
-        return (x - y).sign()
+        return quad_sign(x - y)
     # left = (x.a - y.a) + x.b sqrt(m) against right = y.b sqrt(n)
     d = x.a - y.a
-    left = QuadNumber(d, x.b, x.m).sign()
+    left = quad_sign(QuadNumber(d, x.b, x.m))
     right = 1 if y.b > 0 else -1
     if left != right:
         return (left > right) - (left < right)
-    squared = QuadNumber(d * d + x.b * x.b * x.m - y.b * y.b * y.m, 2 * d * x.b, x.m).sign()
+    squared = quad_sign(QuadNumber(d * d + x.b * x.b * x.m - y.b * y.b * y.m, 2 * d * x.b, x.m))
     return squared if left > 0 else -squared

@@ -164,7 +164,7 @@ def test_criterion_9_constructions():
         S = pythagorean_semigroup(4, 3, 5)
         assert S.gens == (7, 16, 25)
         med = asymptotic_median(S)
-        assert med.is_rational and med.as_fraction() == Fraction(11, 140)
+        assert med.is_rational and med.a == Fraction(11, 140)
         grid = default_grid(S, targets=(100_000,))
         row = convergence_sweep(S, grid).rows[-1]
         assert abs(row.median_ratio - Fraction(11, 140)) <= 5e-3

@@ -128,8 +128,9 @@ class TestConstruct:
         assert [48, 49, 50] in [s["gens"] for s in payload["semigroups"]]
 
     def test_sqrtd_needs_t_or_scan(self, capsys):
-        code, _, err = run(capsys, "construct", "sqrtd", "2")
-        assert code == 2 and "t-max" in err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["construct", "sqrtd", "2"])
+        assert exit_info.value.code == 2 and "t-max" in capsys.readouterr().err
 
     def test_out_after_family_arguments(self, capsys, tmp_path):
         path = tmp_path / "construct.json"
@@ -243,8 +244,13 @@ class TestUsageErrors:
         (("egyptian", "8/11", "--terms", "0"), "max_terms", "target"),
         (("egyptian", "1/0"), "zero denominator", None),
         (("verify", "structure", "-s", "6,9,20", "--lo", "100", "--hi", "100"), "at least 2", None),
+        (("construct", "sqrtd", "2", "--t-max", "0"), "t_max", None),
+        (("construct", "sqrtd", "2", "--t-max", "-3"), "t_max", None),
+        (("verify", "quasilinear", "-s", "6,9,20", "--max-checks", "0"), "max_checks", None),
+        (("verify", "quasilinear", "-s", "6,9,20", "--max-checks", "-3"), "max_checks", None),
     ], ids=["inverted-structure-window", "zero-terms", "zero-denominator",
-            "one-element-structure-window"])
+            "one-element-structure-window", "zero-t-max", "negative-t-max",
+            "zero-max-checks", "negative-max-checks"])
     def test_usage_errors_exit_2(self, capsys, argv, named, not_named):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
@@ -253,6 +259,17 @@ class TestUsageErrors:
         assert named in err
         if not_named:
             assert not_named not in err
+
+    @pytest.mark.parametrize("argv,named", [
+        (("construct", "sqrtd", "2", "5", "--t-max", "10"), "not allowed with argument t"),
+        (("construct", "sqrtd", "2"), "one of the arguments t --t-max is required"),
+    ], ids=["t-and-t-max", "neither-t-nor-t-max"])
+    def test_parser_errors_exit_2(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert named in captured.err and "Traceback" not in captured.err
 
 
 class TestHisto4:

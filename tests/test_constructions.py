@@ -89,6 +89,11 @@ class TestSqrtD:
         assert find_sqrt_d_params(3, 1) == []  # floor(sqrt(3)) = 1 is not prime
         assert 2 not in find_sqrt_d_params(5, 2)
 
+    @pytest.mark.parametrize("t_max", [0, -3])
+    def test_param_scan_needs_positive_bound(self, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            find_sqrt_d_params(2, t_max)
+
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 10])
     def test_family_properties(self, d):
         """Irrational median in the right field, radical part l/(p*t*d) * sqrt(d),

@@ -23,6 +23,8 @@ from factorlengths.factorization import length_multiset
 from factorlengths.invariants import mean_length, median_length
 from factorlengths.semigroup import make_semigroup
 
+from oracles import quad_sign
+
 
 @pytest.fixture
 def multiset_calls(monkeypatch):
@@ -58,10 +60,10 @@ class TestConvergenceSweep:
         for row in result.rows:
             mean_err = abs(row.mean_ratio - Fraction(71, 315))
             median_err = median_c - row.median_ratio
-            if median_err.sign() < 0:
+            if quad_sign(median_err) < 0:
                 median_err = -median_err
             assert row.mean_err == float(mean_err)
-            assert abs(float(median_err) - row.median_err) < 1e-12
+            assert abs(float(median_err.approx_fraction(25)) - row.median_err) < 1e-12
 
     def test_skips_non_elements(self):
         S = make_semigroup([6, 9, 20])
@@ -216,6 +218,11 @@ class TestQuasilinearityProbe:
         verdict = probe_median_quasilinearity(make_semigroup([3, 4, 6]))
         assert verdict.verdict in {"quasilinear", "not_quasilinear", "inconclusive"}
         assert verdict.verdict == "quasilinear"
+
+    @pytest.mark.parametrize("max_checks", [0, -3])
+    def test_non_positive_max_checks_rejected(self, max_checks):
+        with pytest.raises(ValueError, match="max_checks"):
+            probe_median_quasilinearity(make_semigroup([6, 9, 20]), max_checks=max_checks)
 
     def test_window_records_parameters(self):
         verdict = probe_median_quasilinearity(make_semigroup([12, 15, 20]))

@@ -1,9 +1,11 @@
 """Module boundaries checked on the source: the JSON form of results lives
 in one module (`cli` alone imports json, and no module spells a `to_json`
-or `from_json` of its own), and no package module or script imports a name
-it does not use."""
+or `from_json` of its own), no package module or script imports a name it
+does not use, and the test oracles, which the benchmark loads too, import
+only the standard library and the package."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "factorlengths"
 MODULES = sorted(PACKAGE.glob("*.py"))
 SCRIPTS = sorted((PACKAGE.parent.parent / "scripts").glob("*.py"))
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def test_package_found():
@@ -57,3 +60,11 @@ def _unused_imports(tree: ast.AST) -> list[str]:
 )
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_oracles_import_only_stdlib_and_package():
+    """perfbench/checks.py loads tests/oracles.py in every benchmark run, so a
+    test-only dependency imported there would change what the benchmark runs."""
+    imported = _imports(ast.parse(ORACLES.read_text(encoding="utf-8")))
+    assert "factorlengths" in imported
+    assert imported - sys.stdlib_module_names - {"factorlengths"} == set()
