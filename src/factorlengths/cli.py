@@ -164,10 +164,17 @@ def _cmd_egyptian(args) -> int:
     return 0
 
 
+def _point(item: str) -> int:
+    try:
+        return int(item)
+    except ValueError:
+        raise ValueError(f"--points item {item!r} is not an integer") from None
+
+
 def _cmd_sweep(args) -> int:
     S = parse_semigroup(args.semigroup)
     if args.points:
-        points = [int(p) for p in args.points.split(",")]
+        points = [_point(item) for item in args.points.split(",")]
     else:
         points = experiments.default_grid(S)
     result = experiments.convergence_sweep(S, points)

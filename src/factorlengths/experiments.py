@@ -166,15 +166,14 @@ def verify_mode_theorem(S: Semigroup, n_max: int) -> ModeTheoremReport:
     )
 
 
-def end_gaps(ms: LengthMultiset, delta: int) -> tuple[list[int], list[int]]:
-    """Missing lengths of the step-delta progression from ms's least to its
-    greatest length, split low end / high end."""
-    progression = range(ms.min_length, ms.max_length + 1, delta)
-    count = len(progression)
+def end_gaps(ms: LengthMultiset) -> tuple[list[int], list[int]]:
+    """Missing lengths of ms's progression from its least to its greatest
+    length, split low end / high end."""
+    count = len(ms.counts)
     low_missing, high_missing = [], []
-    for idx, ell in enumerate(progression):
-        if ell not in ms.entries:
-            (low_missing if idx < count / 2 else high_missing).append(ell)
+    for idx, mult in enumerate(ms.counts):
+        if not mult:
+            (low_missing if idx < count / 2 else high_missing).append(ms.lengths[idx])
     return low_missing, high_missing
 
 
@@ -228,7 +227,7 @@ def verify_structure_theorem(
         off_grid = [ell for ell in ms.support() if (ell - lo) % delta]
         if off_grid:
             violations.append((n, f"lengths off the delta grid: {off_grid[:4]}"))
-        low_missing, high_missing = end_gaps(ms, delta)
+        low_missing, high_missing = end_gaps(ms)
         extents.append((
             (low_missing[-1] - lo) // delta + 1 if low_missing else 0,
             (hi - high_missing[0]) // delta + 1 if high_missing else 0,
@@ -408,17 +407,14 @@ def multi_generator_histogram(S: Semigroup, n: int) -> HistogramExploration:
         raise ValueError("multi-generator exploration requires at least 4 generators")
     ms = length_multiset(S, n)
     step = S.delta
-    lo, hi = ms.min_length, ms.max_length
+    counts = ms.counts
     candidates: list[int] = []
     prev_sign = 0
     prev_length = None
     zeros: list[int] = []
-    for ell in range(lo + step, hi - step + 1, step):
-        d2 = (
-            ms.multiplicity(ell + step)
-            - 2 * ms.multiplicity(ell)
-            + ms.multiplicity(ell - step)
-        )
+    for i in range(1, len(counts) - 1):
+        ell = ms.lengths[i]
+        d2 = counts[i + 1] - 2 * counts[i] + counts[i - 1]
         sign = (d2 > 0) - (d2 < 0)
         if sign == 0:
             zeros.append(ell)

@@ -1,132 +1,184 @@
 """Exact length-multiset counting.
 
-``length_multiset`` never materializes factorizations.  For each candidate
-length it counts lattice points on a line segment via one extended-gcd
-solve, so a multiset for n around 10**6 is still cheap.  With more than
-three generators the outer coefficients are enumerated and the three
-smallest generators are counted the same closed way.
+``length_multiset`` never materializes factorizations; it returns the
+multiplicities over the progression of possible lengths as one list.  For
+three generators ``_three_counts`` builds that list from linear forms in
+the length's index: one period of lengths is evaluated in Python and
+``itertools`` builds the rest.  With more than three generators the outer
+coefficients are enumerated and the three smallest generators are counted
+the same way.
 
 The tuple enumerator that cross-checks this route lives with the other
-test oracles in ``tests/oracles.py``.
+test oracles in ``tests/oracles.py``; the per-length scan that the linear
+forms replaced is kept in ``tests/test_factorization.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, compress, cycle, islice
+from operator import add, sub
 
 from .semigroup import NotInSemigroup, Semigroup
 
 
 @dataclass(frozen=True)
 class LengthMultiset:
-    """Multiset of factorization lengths: {length: multiplicity}, keys ascending."""
+    """Multiset of factorization lengths over one progression.
 
-    entries: dict[int, int]
+    ``lengths`` runs ascending from the least to the greatest length in
+    steps of the semigroup's delta, and ``counts[i]`` is the multiplicity of
+    ``lengths[i]``.  Both end counts are positive; a zero marks a length of
+    the progression that no factorization has.
+    """
+
+    lengths: range
+    counts: list[int]
     total: int
 
     @property
     def min_length(self) -> int:
-        return next(iter(self.entries))
+        return self.lengths[0]
 
     @property
     def max_length(self) -> int:
-        return next(reversed(self.entries))
+        return self.lengths[-1]
+
+    @cached_property
+    def cumulative(self) -> list[int]:
+        """cumulative[i] = counts[0] + ... + counts[i]."""
+        return list(accumulate(self.counts))
+
+    @property
+    def entries(self) -> dict[int, int]:
+        """{length: multiplicity} of the lengths that occur, ascending."""
+        return dict(self.items())
 
     def multiplicity(self, length: int) -> int:
-        return self.entries.get(length, 0)
+        return self.counts[self.lengths.index(length)] if length in self.lengths else 0
 
     def support(self) -> tuple[int, ...]:
-        return tuple(self.entries)
+        return tuple(compress(self.lengths, self.counts))
 
     def items(self):
-        return self.entries.items()
+        """(length, multiplicity) pairs of the lengths that occur, ascending."""
+        return compress(zip(self.lengths, self.counts), self.counts)
 
 
 def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def _scan_three(gens: tuple[int, int, int], n: int, base_len: int, hist: dict[int, int]) -> None:
-    """Accumulate length multiplicities of a 3-generator subproblem into hist.
+def _trim(counts: list[int]) -> int:
+    """Delete the counts <= 0 at both ends of counts; return how many left
+    the front."""
+    a, b = 0, len(counts)
+    while a < b and counts[a] <= 0:
+        a += 1
+    while a < b and counts[b - 1] <= 0:
+        b -= 1
+    del counts[b:], counts[:a]
+    return a
+
+
+def _counts(f0: int, df: int, m: int, x0: int, dx: int, Bg: int, a: int, b: int):
+    """(f0 + df*i) // m + (x0 + dx*i) // Bg for i in range(a, b).
+
+    Adding T = lcm(m / gcd(df, m), Bg / gcd(dx, Bg)) to i adds a constant,
+    so the steps between neighbours repeat with period T: one period is
+    evaluated and the rest accumulated from its cycled steps.
+    """
+    T = math.lcm(m // math.gcd(df, m), Bg // math.gcd(dx, Bg))
+    head = [(f0 + df * i) // m + (x0 + dx * i) // Bg for i in range(a, min(b, a + T + 1))]
+    if b - a <= T + 1:
+        return head
+    steps = list(map(sub, head[1:], head[:-1]))
+    return accumulate(islice(cycle(steps), b - a - 1), initial=head[0])
+
+
+def _three_counts(gens: tuple[int, int, int], n: int) -> tuple[int, int, list[int]]:
+    """(least length, step, counts) of n over three generators; counts[i] is
+    the multiplicity of length least + step*i, and is empty when n has no
+    factorization.
 
     A length-ell tuple (x1, x2, x3) satisfies A*x2 + B*x3 = n - ell*n1 with
-    A = n2-n1, B = n3-n1 and x2 + x3 <= ell.  For fixed ell the solutions
-    form a lattice line, so each length costs O(1) interval arithmetic.
+    A = n2-n1, B = n3-n1 and x2 + x3 <= ell.  Solvability puts ell in one
+    class mod step, and the i-th length of that class, from
+    lo = ceil(n/n3) up, has the particular solution x2 = u*r, x3 = w*r with
+    r = (n - ell*n1)/g and y = ell - x2 - x3 left for x1.  All three are
+    linear in i, and the solutions are (x2 + Bg*j, x3 - Ag*j, y - Cg*j), so
+    count(i) = min(x3 // Ag, y // Cg) + (x2 + Bg) // Bg where that is
+    positive, and no tuple has the length where it is not.  The x3 term is
+    the smaller exactly where D = Cg*x3 - Ag*y <= 0, and D falls by n2/d
+    per step because Ag*u + Bg*w = 1.
     """
-    if n < 0:
-        return
     n1, n2, n3 = gens
     A, B = n2 - n1, n3 - n1
     g = math.gcd(A, B)
-    Bg, Ag, Cg = B // g, A // g, (B - A) // g
-    u = pow(Ag, -1, Bg)  # u*A ≡ g (mod B); Bg >= 2 because A < B
-    lo, hi = _ceil_div(n, n3), n // n1
-    # solvability forces n1*ell ≡ n (mod g): step the scan through one class
+    Ag, Bg, Cg = A // g, B // g, (B - A) // g
     d = math.gcd(n1, g)
-    if n % d:
-        return
+    if n < 0 or n % d:
+        return 0, 1, []
     step = g // d
+    lo = _ceil_div(n, n3)
     if step > 1:
         lo += ((n // d) * pow(n1 // d, -1, step) - lo) % step
-    for ell in range(lo, hi + 1, step):
-        R = n - ell * n1
-        x20 = u * (R // g)
-        x30 = (R - A * x20) // B
-        j_hi = x30 // Ag
-        j_hi2 = (ell - x20 - x30) // Cg
-        if j_hi2 < j_hi:
-            j_hi = j_hi2
-        j_lo = _ceil_div(-x20, Bg)
-        if j_hi >= j_lo:
-            length = base_len + ell
-            hist[length] = hist.get(length, 0) + j_hi - j_lo + 1
-
-
-def _scan_two(gens: tuple[int, int], n: int, base_len: int, hist: dict[int, int]) -> None:
-    """Two-generator subproblem: every solution has a distinct length."""
-    if n < 0:
-        return
-    n1, n2 = gens
-    g = math.gcd(n1, n2)
-    if n % g:
-        return
-    mod = n2 // g  # >= 2 because n1 < n2 bounds g <= n1 < n2
-    x1 = (n // g) * pow((n1 // g) % mod, -1, mod) % mod
-    while x1 * n1 <= n:
-        x2 = (n - x1 * n1) // n2
-        length = base_len + x1 + x2
-        hist[length] = hist.get(length, 0) + 1
-        x1 += mod
+    N = (n // n1 - lo) // step + 1
+    if N <= 0:
+        return 0, 1, []
+    u = pow(Ag, -1, Bg)  # u*A ≡ g (mod B); Bg >= 2 because A < B
+    w = (g - A * u) // B
+    r0, dr = (n - lo * n1) // g, -(n1 // d)
+    x2, dx2 = u * r0, u * dr
+    x3, dx3 = w * r0, w * dr
+    y, dy = lo - x2 - x3, step - dx2 - dx3
+    # the y term is the smaller on [0, s), the x3 term on [s, N)
+    s = min(max(_ceil_div(Cg * x3 - Ag * y, n2 // d), 0), N)
+    counts = list(_counts(y, dy, Cg, x2 + Bg, dx2, Bg, 0, s))
+    counts += _counts(x3, dx3, Ag, x2 + Bg, dx2, Bg, s, N)
+    # the real relaxation of count is concave, so counts <= 0 lie only at the ends
+    return lo + step * _trim(counts), step, counts
 
 
 def length_multiset(S: Semigroup, n: int) -> LengthMultiset:
     """Length multiset of n, computed without materializing factorizations."""
-    hist: dict[int, int] = {}
     gens = S.gens
-    # The k = 2 and k = 3 scans insert lengths in ascending order: _scan_three
-    # walks ell upward, and each _scan_two step raises x1 by n2/g, which
-    # raises the length by (n2 - n1)/g.  Only descend's scans can interleave.
     if S.k == 2:
-        _scan_two(gens, n, 0, hist)
+        # each step of x1 by n2 (gcd 1) raises the length by n2 - n1
+        n1, n2 = gens
+        x1 = n * pow(n1, -1, n2) % n2
+        first, counts = x1 + (n - x1 * n1) // n2, [1] * ((n // n1 - x1) // n2 + 1)
     elif S.k == 3:
-        _scan_three(gens, n, 0, hist)
+        first, _, counts = _three_counts(gens, n)
     else:
+        # acc[j] counts the length least + j, least = ceil(n/nk)
+        least = _ceil_div(n, gens[-1])
+        acc = [0] * (n // gens[0] - least + 1)
         first3 = gens[:3]
 
         def descend(idx: int, rem: int, base_len: int) -> None:
             if idx == 2:
-                _scan_three(first3, rem, base_len, hist)
+                start, step, counts = _three_counts(first3, rem)
+                if counts:
+                    j = base_len + start - least
+                    span = slice(j, j + step * len(counts), step)
+                    acc[span] = map(add, acc[span], counts)
                 return
             g = gens[idx]
             for c in range(rem // g, -1, -1):
                 descend(idx - 1, rem - c * g, base_len + c)
 
         descend(S.k - 1, n, 0)
-        hist = dict(sorted(hist.items()))
-    if not hist:
+        first, counts = least + _trim(acc), acc[::S.delta]
+    if not counts:
         raise NotInSemigroup(f"{n} not in semigroup {S}")
-    return LengthMultiset(entries=hist, total=sum(hist.values()))
+    return LengthMultiset(
+        lengths=range(first, first + S.delta * len(counts), S.delta),
+        counts=counts,
+        total=sum(counts),
+    )
 
 
 def histogram_rows(ms: LengthMultiset, include_zeros: bool = False) -> list[tuple[int, int]]:
@@ -136,5 +188,7 @@ def histogram_rows(ms: LengthMultiset, include_zeros: bool = False) -> list[tupl
     which makes the zero pattern of the multiplicity function visible.
     """
     if include_zeros:
-        return [(ell, ms.multiplicity(ell)) for ell in range(ms.min_length, ms.max_length + 1)]
-    return list(ms.entries.items())
+        every = [0] * (ms.max_length - ms.min_length + 1)
+        every[::ms.lengths.step] = ms.counts
+        return list(zip(range(ms.min_length, ms.max_length + 1), every))
+    return list(ms.items())

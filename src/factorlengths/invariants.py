@@ -8,6 +8,7 @@ is the average of the two middle order statistics.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,42 +33,42 @@ class InvariantReport:
 
 
 def _require_nonempty(ms: LengthMultiset) -> None:
-    if not ms.entries or ms.total <= 0:
+    if not ms.counts or ms.total <= 0:
         raise EmptyMultisetError("empty length multiset")
 
 
 def mean_length(ms: LengthMultiset) -> Fraction:
     """Average length, counted with multiplicity."""
     _require_nonempty(ms)
-    weighted = sum(ell * mult for ell, mult in ms.items())
-    return Fraction(weighted, ms.total)
+    # by parts: lengths[i] = max_length - step*(N-1-i), and summed with
+    # multiplicity, N-1-i gives sum(cumulative[:-1]) = sum(cumulative) - total
+    total = ms.total
+    weighted = ms.max_length * total - ms.lengths.step * (sum(ms.cumulative) - total)
+    return Fraction(weighted, total)
 
 
 def median_length(ms: LengthMultiset) -> Fraction:
     """Median length: middle order statistic, or the average of the two
     middle ones when the total is even."""
     _require_nonempty(ms)
-    total = ms.total
-    lower_rank = (total + 1) // 2
-    upper_rank = total // 2 + 1
-    lower = upper = None
-    seen = 0
-    for ell, mult in ms.items():
-        seen += mult
-        if lower is None and seen >= lower_rank:
-            lower = ell
-        if seen >= upper_rank:
-            upper = ell
-            break
+    total, seen = ms.total, ms.cumulative
+    lower = ms.lengths[bisect_left(seen, (total + 1) // 2)]
+    upper = ms.lengths[bisect_left(seen, total // 2 + 1)]
     return Fraction(lower + upper, 2)
 
 
 def mode(ms: LengthMultiset) -> tuple[tuple[int, ...], int]:
     """(sorted lengths of highest multiplicity, that multiplicity)."""
     _require_nonempty(ms)
-    freq = max(ms.entries.values())
-    lengths = tuple(ell for ell, mult in ms.items() if mult == freq)
-    return lengths, freq
+    counts = ms.counts
+    freq = max(counts)
+    lengths, i = [], -1
+    try:
+        while True:
+            i = counts.index(freq, i + 1)
+            lengths.append(ms.lengths[i])
+    except ValueError:
+        return tuple(lengths), freq
 
 
 def invariant_report(S: Semigroup, n: int) -> InvariantReport:

@@ -26,7 +26,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # Every candidate of these commands, and invariants below INVARIANTS_N_MAX;
 # larger invariants queries take most of the benchmark's time.
 COMMANDS = {"sweep", "asymptotics", "model", "construct", "egyptian"}
-INVARIANTS_N_MAX = 200_000
+INVARIANTS_N_MAX = 2_000_000
 
 
 def _load_run():
@@ -71,7 +71,7 @@ REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"
 def test_selection_covers_every_command():
     kinds = {query[1][0] if query[0] == "cli" else query[0] for query in QUERIES.values()}
     assert kinds == COMMANDS | {"invariants", "envelope"}
-    assert len(QUERIES) == 224
+    assert len(QUERIES) == 368
     assert sum(query[0] == "envelope" for query in QUERIES.values()) == 11
 
 

@@ -248,9 +248,13 @@ class TestUsageErrors:
         (("construct", "sqrtd", "2", "--t-max", "-3"), "t_max", None),
         (("verify", "quasilinear", "-s", "6,9,20", "--max-checks", "0"), "max_checks", None),
         (("verify", "quasilinear", "-s", "6,9,20", "--max-checks", "-3"), "max_checks", None),
+        (("sweep", "-s", "3,5,7", "--points", ","), "--points item ''", "invalid literal"),
+        (("sweep", "-s", "3,5,7", "--points", "5,x"), "--points item 'x'", "invalid literal"),
+        (("sweep", "-s", "3,5,7", "--points", "100,2.5"), "--points item '2.5'", "invalid literal"),
     ], ids=["inverted-structure-window", "zero-terms", "zero-denominator",
             "one-element-structure-window", "zero-t-max", "negative-t-max",
-            "zero-max-checks", "negative-max-checks"])
+            "zero-max-checks", "negative-max-checks", "empty-points-items",
+            "non-integer-point", "fractional-point"])
     def test_usage_errors_exit_2(self, capsys, argv, named, not_named):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""

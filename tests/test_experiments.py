@@ -144,12 +144,12 @@ class TestModeTheorem:
 class TestStructureTheorem:
     def test_mcnugget_132_gaps(self):
         S = make_semigroup([6, 9, 20])
-        low, high = end_gaps(length_multiset(S, 132), S.delta)
+        low, high = end_gaps(length_multiset(S, 132))
         assert low == [9, 10] and high == []
 
     def test_trivial_zero(self):
         S = make_semigroup([6, 9, 20])
-        assert end_gaps(length_multiset(S, 0), S.delta) == ([], [])
+        assert end_gaps(length_multiset(S, 0)) == ([], [])
 
     @pytest.mark.parametrize("gens", [(6, 9, 20), (3, 5, 7), (7, 16, 25)])
     def test_windows_bounded(self, gens):

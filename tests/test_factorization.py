@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorlengths.factorization import histogram_rows, length_multiset
+from factorlengths.factorization import _counts, _three_counts, histogram_rows, length_multiset
 from factorlengths.semigroup import NotInSemigroup, make_semigroup, trade_data
 
 from oracles import brute_factorizations, brute_length_counter, enumerate_factorizations
@@ -259,3 +259,219 @@ def test_multiset_equals_enumeration_property(gens, n):
     except NotInSemigroup:
         counted = {}
     assert counted == dict(enumerated)
+
+
+# -- the linear-forms kernel against the per-length scan it replaced ----------
+
+
+def _ceil_div(p: int, q: int) -> int:
+    return -((-p) // q)
+
+
+def _scan_three(gens: tuple[int, int, int], n: int, base_len: int, hist: dict[int, int]) -> None:
+    """Accumulate length multiplicities of a 3-generator subproblem into hist.
+
+    A length-ell tuple (x1, x2, x3) satisfies A*x2 + B*x3 = n - ell*n1 with
+    A = n2-n1, B = n3-n1 and x2 + x3 <= ell.  For fixed ell the solutions
+    form a lattice line, so each length costs O(1) interval arithmetic.
+    """
+    if n < 0:
+        return
+    n1, n2, n3 = gens
+    A, B = n2 - n1, n3 - n1
+    g = math.gcd(A, B)
+    Bg, Ag, Cg = B // g, A // g, (B - A) // g
+    u = pow(Ag, -1, Bg)  # u*A ≡ g (mod B); Bg >= 2 because A < B
+    lo, hi = _ceil_div(n, n3), n // n1
+    # solvability forces n1*ell ≡ n (mod g): step the scan through one class
+    d = math.gcd(n1, g)
+    if n % d:
+        return
+    step = g // d
+    if step > 1:
+        lo += ((n // d) * pow(n1 // d, -1, step) - lo) % step
+    for ell in range(lo, hi + 1, step):
+        R = n - ell * n1
+        x20 = u * (R // g)
+        x30 = (R - A * x20) // B
+        j_hi = x30 // Ag
+        j_hi2 = (ell - x20 - x30) // Cg
+        if j_hi2 < j_hi:
+            j_hi = j_hi2
+        j_lo = _ceil_div(-x20, Bg)
+        if j_hi >= j_lo:
+            length = base_len + ell
+            hist[length] = hist.get(length, 0) + j_hi - j_lo + 1
+
+
+def scan_reference(gens, n: int) -> dict[int, int]:
+    hist: dict[int, int] = {}
+    _scan_three(tuple(gens), n, 0, hist)
+    return hist
+
+
+def scan_d_values(gens, n: int) -> list[int]:
+    """D = Cg*x3 - Ag*y at each length _scan_three visits, from its own
+    particular solution: the x3 bound binds where D <= 0, the x1 bound
+    where D > 0."""
+    n1, n2, n3 = gens
+    A, B = n2 - n1, n3 - n1
+    g = math.gcd(A, B)
+    Bg, Ag, Cg = B // g, A // g, (B - A) // g
+    u = pow(Ag, -1, Bg)
+    d = math.gcd(n1, g)
+    if n < 0 or n % d:
+        return []
+    step = g // d
+    lo = _ceil_div(n, n3)
+    lo += ((n // d) * pow(n1 // d, -1, step) - lo) % step
+    values = []
+    for ell in range(lo, n // n1 + 1, step):
+        R = n - ell * n1
+        x20 = u * (R // g)
+        x30 = (R - A * x20) // B
+        values.append(Cg * x30 - Ag * (ell - x20 - x30))
+    return values
+
+
+def check_three_counts(gens, n):
+    """_three_counts(gens, n) against the scan, for any three generators."""
+    hist = scan_reference(gens, n)
+    start, step, counts = _three_counts(tuple(gens), n)
+    if not hist:
+        assert counts == [], (gens, n)
+        return
+    assert counts[0] > 0 and counts[-1] > 0 and min(counts) >= 0, (gens, n)
+    lengths = range(start, start + step * len(counts), step)
+    assert (lengths[0], lengths[-1]) == (min(hist), max(hist)), (gens, n)
+    assert dict((ell, c) for ell, c in zip(lengths, counts) if c) == hist, (gens, n)
+
+
+def check_multiset(gens, n):
+    """length_multiset against the scan, laid onto the delta progression."""
+    S = make_semigroup(gens)
+    hist = scan_reference(S.gens, n)
+    if not hist:
+        with pytest.raises(NotInSemigroup):
+            length_multiset(S, n)
+        return
+    ms = length_multiset(S, n)
+    lengths = range(min(hist), max(hist) + 1, S.delta)
+    assert list(ms.lengths) == list(lengths), (gens, n)
+    assert ms.counts == [hist.get(ell, 0) for ell in lengths], (gens, n)
+    assert ms.total == sum(hist.values()), (gens, n)
+    assert ms.entries == hist, (gens, n)
+
+
+def _shared_step_triple(parts):
+    n1, a, b, g = parts
+    return sorted({n1, n1 + g * a, n1 + g * b})
+
+
+TRIPLES = st.one_of(
+    st.lists(st.integers(2, 59), min_size=3, max_size=3, unique=True).map(sorted),
+    # n2 - n1 and n3 - n1 share the factor g, so the lengths step by g
+    st.tuples(st.integers(2, 40), st.integers(1, 9), st.integers(2, 9), st.integers(2, 6))
+    .map(_shared_step_triple)
+    .filter(lambda gens: len(gens) == 3 and gens[2] < 60),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gens=TRIPLES, n=st.integers(-5, 10**5))
+def test_multiset_matches_scan_property(gens, n):
+    if math.gcd(*gens) != 1:
+        return
+    check_multiset(gens, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gens=TRIPLES, n=st.integers(-5, 10**5))
+def test_three_counts_matches_scan_for_any_gcd(gens, n):
+    """descend hands the three smallest generators of k >= 4 semigroups to
+    _three_counts, and they may share a factor (d > 1)."""
+    check_three_counts(gens, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gens=TRIPLES, n=st.integers(0, 5000))
+def test_split_function_falls_by_n2_over_d(gens, n):
+    """D steps by -n2/d for every triple (Ag*u + Bg*w = 1), so its slope is
+    never 0 or positive: the x1 bound binds on a prefix of the lengths and
+    the x3 bound on the rest."""
+    values = scan_d_values(gens, n)
+    d = math.gcd(gens[0], math.gcd(gens[1] - gens[0], gens[2] - gens[0]))
+    assert all(b - a == -(gens[1] // d) for a, b in zip(values, values[1:]))
+
+
+class TestSplit:
+    """The y piece runs over [0, s) and the x3 piece over [s, N), with s
+    where D = Cg*x3 - Ag*y first drops to 0 or below."""
+
+    @pytest.mark.parametrize("gens,n", [((3, 5, 7), 7), ((7, 16, 25), 25), ((48, 49, 50), 50)])
+    def test_split_at_n(self, gens, n):
+        values = scan_d_values(gens, n)
+        assert values and all(v > 0 for v in values)
+        check_multiset(gens, n)
+
+    @pytest.mark.parametrize("gens,n", [((7, 16, 25), 231), ((7, 16, 25), 343), ((3, 5, 7), 18)])
+    def test_split_at_zero(self, gens, n):
+        values = scan_d_values(gens, n)
+        assert len(values) >= 2 and values[0] < 0
+        check_multiset(gens, n)
+
+    @pytest.mark.parametrize("gens,n", [((3, 5, 7), 30), ((7, 16, 25), 224)])
+    def test_d_zero_at_first_length(self, gens, n):
+        values = scan_d_values(gens, n)
+        assert len(values) >= 2 and values[0] == 0
+        check_multiset(gens, n)
+
+    @pytest.mark.parametrize("gens,n", [((3, 5, 7), 35), ((6, 9, 20), 18), ((12, 15, 20), 60)])
+    def test_d_zero_inside(self, gens, n):
+        values = scan_d_values(gens, n)
+        assert 0 in values[1:-1]
+        check_multiset(gens, n)
+
+    @pytest.mark.parametrize("gens,n_max", [((3, 5, 7), 3000), ((48, 49, 50), 20000)])
+    def test_every_n_up_to(self, gens, n_max):
+        """<3,5,7> has g = 2; <48,49,50> has lengths only near n/49."""
+        for n in range(-5, n_max + 1):
+            check_multiset(gens, n)
+        check_multiset(gens, 10**5)
+        check_multiset(gens, 10**5 + 1)
+
+    @pytest.mark.parametrize("gens", [(4, 6, 8), (6, 10, 14), (9, 12, 15), (6, 9, 12)])
+    def test_shared_factor_triples(self, gens):
+        """Triples with gcd > 1 occur only inside descend."""
+        for n in range(-5, 1500):
+            check_three_counts(gens, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f0=st.integers(-10**6, 10**6), df=st.integers(-60, 60), m=st.integers(1, 60),
+    x0=st.integers(-10**6, 10**6), dx=st.integers(-60, 60), Bg=st.integers(1, 60),
+    a=st.integers(0, 50), length=st.integers(0, 4000),
+)
+def test_counts_helper_matches_direct_evaluation(f0, df, m, x0, dx, Bg, a, length):
+    """The cycled steps reproduce both floors at every index, zero slopes included."""
+    b = a + length
+    direct = [(f0 + df * i) // m + (x0 + dx * i) // Bg for i in range(a, b)]
+    assert list(_counts(f0, df, m, x0, dx, Bg, a, b)) == direct
+
+
+class TestAccessors:
+    def test_progression_reads(self):
+        ms = length_multiset(make_semigroup([3, 5, 7]), 630)
+        assert ms.lengths == range(90, 211, 2)
+        assert ms.multiplicity(126) == 64
+        assert ms.multiplicity(127) == 0 and ms.multiplicity(89) == 0 and ms.multiplicity(212) == 0
+        assert ms.support() == tuple(ms.lengths)
+        assert list(ms.items()) == list(zip(ms.lengths, ms.counts))
+
+    def test_zeros_inside_end_strip(self):
+        ms = length_multiset(make_semigroup([6, 9, 20]), 132)
+        assert ms.lengths == range(8, 23)
+        assert ms.counts[:4] == [1, 0, 0, 1]
+        assert 9 not in ms.support() and ms.multiplicity(9) == 0
+        assert dict(ms.items()) == ms.entries and 9 not in ms.entries

@@ -23,7 +23,15 @@ from oracles import random_semigroup_3
 
 
 def ms_of(entries: dict) -> LengthMultiset:
-    return LengthMultiset(entries=dict(sorted(entries.items())), total=sum(entries.values()))
+    """The multiset {length: multiplicity} over the progression from its
+    least to its greatest length, stepped by the gcd of their distances."""
+    if not entries:
+        return LengthMultiset(lengths=range(0), counts=[], total=0)
+    lo, hi = min(entries), max(entries)
+    step = math.gcd(*(ell - lo for ell in entries)) or 1
+    lengths = range(lo, hi + 1, step)
+    return LengthMultiset(lengths=lengths, counts=[entries.get(ell, 0) for ell in lengths],
+                          total=sum(entries.values()))
 
 
 class TestMean:
@@ -136,6 +144,21 @@ class TestOrderingInvariants:
         expanded = [ell for ell, mult in ms.items() for _ in range(mult)]
         assert mean_length(ms) == Fraction(sum(expanded), len(expanded))
         assert median_length(ms) == Fraction(statistics.median(expanded))
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.dictionaries(st.integers(-30, 60), st.integers(1, 6), min_size=1, max_size=12))
+def test_statistics_with_zeros_anywhere_in_the_progression(entries):
+    """ms_of leaves a zero count at every progression length without an
+    entry, so zeros sit anywhere, not only in the end strips."""
+    import statistics
+
+    ms = ms_of(entries)
+    expanded = sorted(ell for ell, mult in entries.items() for _ in range(mult))
+    freq = max(entries.values())
+    assert mean_length(ms) == Fraction(sum(expanded), len(expanded))
+    assert median_length(ms) == Fraction(statistics.median(expanded))
+    assert mode(ms) == (tuple(sorted(ell for ell, mult in entries.items() if mult == freq)), freq)
 
 
 class TestModeRecurrence:
