@@ -251,23 +251,22 @@ def envelope_report(S: Semigroup, k: int) -> EnvelopeReport:
     seq = scaled_sequence(S, k)
     ms = length_multiset(S, seq.element)
     delta = seq.trade.delta
+    # Each step's envelope supremum lies at its end delta towards the mode,
+    # a fixed rise above its start: both sides of the mode are whole
+    # delta-steps, and the envelope is linear on each and 1 at both extremes.
+    low_rise = upper_envelope(seq, seq.min_len + delta) - 1
+    high_rise = upper_envelope(seq, seq.max_len - delta) - 1
+    mode = seq.mode_len
     ok = True
     max_point = Fraction(0)
     max_step = Fraction(0)
     for ell, mult in ms.items():
-        bound = upper_envelope(seq, ell)
-        gap = bound - mult
+        gap = upper_envelope(seq, ell) - mult
         if gap < 0:
             ok = False
         if gap > max_point:
             max_point = gap
-        if ell < seq.mode_len:
-            far = upper_envelope(seq, ell + delta)
-        elif ell > seq.mode_len:
-            far = upper_envelope(seq, ell - delta)
-        else:
-            far = bound
-        step_gap = max(gap, far - mult)
+        step_gap = gap + (low_rise if ell < mode else high_rise if ell > mode else 0)
         if step_gap > max_step:
             max_step = step_gap
     return EnvelopeReport(

@@ -99,62 +99,50 @@ def find_sqrt_d_params(d: int, t_max: int) -> list[int]:
     ]
 
 
-def three_unit_fractions(target: Fraction) -> list[tuple[int, int, int]]:
-    """All (d1 < d2 < d3) with 1/d1 + 1/d2 + 1/d3 = target.
+def _unit_fractions(r: Fraction, terms: int, min_d: int = 1) -> Iterator[tuple[int, ...]]:
+    """Every (d1 < ... < d_terms), each at least min_d, whose unit fractions
+    sum to r, in lexicographic order.
 
     Complete by construction: the leading denominator of a tail summing to r
     with j terms left lies in [ceil(1/r), floor(j/r)], and the final
-    denominator is solved exactly.  Empty result means no representation.
+    denominator is solved exactly.
     """
+    if terms == 1:
+        if r.numerator == 1 and r.denominator >= min_d:
+            yield (r.denominator,)
+        return
+    for d in range(max(min_d, math.ceil(1 / r)), int(terms / r) + 1):
+        rest = r - Fraction(1, d)
+        if rest > 0:
+            for tail in _unit_fractions(rest, terms - 1, d + 1):
+                yield (d,) + tail
+
+
+def three_unit_fractions(target: Fraction) -> list[tuple[int, int, int]]:
+    """All (d1 < d2 < d3) with 1/d1 + 1/d2 + 1/d3 = target, in lexicographic
+    order.  Empty result means no representation."""
     target = Fraction(target)
     if target <= 0:
         raise ValueError(f"target must be positive, got {target}")
-    out: list[tuple[int, int, int]] = []
-    for d1 in range(math.ceil(1 / target), int(3 / target) + 1):
-        r1 = target - Fraction(1, d1)
-        if r1 <= 0:
-            continue
-        for d2 in range(max(d1 + 1, math.ceil(1 / r1)), int(2 / r1) + 1):
-            r2 = r1 - Fraction(1, d2)
-            if r2 <= 0 or r2.numerator != 1:
-                continue
-            d3 = r2.denominator
-            if d3 > d2:
-                out.append((d1, d2, d3))
-    return out
+    return list(_unit_fractions(target, 3))
 
 
 def unit_fraction_decomposition(target: Fraction, max_terms: int) -> Optional[tuple[int, ...]]:
     """One shortest decomposition of target into distinct unit fractions.
 
-    Searches lengths 1, 2, ... up to max_terms with the same bounded
-    denominator brackets; None when no decomposition exists within the cap.
+    Tries lengths 1, 2, ... up to max_terms and returns the lexicographically
+    first decomposition of the first length that has one; None when no
+    decomposition exists within the cap.
     """
     target = Fraction(target)
     if max_terms < 1:
         raise ValueError(f"max_terms must be >= 1, got {max_terms}")
-    if not 0 < target < max_terms:
-        raise ValueError(f"need 0 < target < {max_terms}, got {target}")
-
-    def search(r: Fraction, terms: int, min_d: int) -> Optional[tuple[int, ...]]:
-        if terms == 1:
-            if r.numerator == 1 and r.denominator >= min_d:
-                return (r.denominator,)
-            return None
-        for d in range(max(min_d, math.ceil(1 / r)), int(terms / r) + 1):
-            rest = r - Fraction(1, d)
-            if rest <= 0:
-                continue
-            tail = search(rest, terms - 1, d + 1)
-            if tail is not None:
-                return (d,) + tail
-        return None
-
-    for terms in range(1, max_terms + 1):
-        found = search(target, terms, 1)
-        if found is not None:
-            return found
-    return None
+    if not 0 < target <= max_terms:
+        raise ValueError(f"need 0 < target <= {max_terms}, got {target}")
+    return next(
+        (found for terms in range(1, max_terms + 1) for found in _unit_fractions(target, terms)),
+        None,
+    )
 
 
 _MEAN_SUP = Fraction(47, 180)

@@ -179,7 +179,10 @@ def end_gaps(ms: LengthMultiset) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Window check that length sets are progressions minus bounded end gaps."""
+    """Window check that length sets are progressions minus bounded end gaps.
+
+    violations is always empty and keeps its place in the JSON report.
+    """
 
     semigroup: Semigroup
     delta: int
@@ -188,19 +191,23 @@ class StructureReport:
     max_low_extent: int
     max_high_extent: int
     bounded: bool
-    violations: tuple[tuple[int, str], ...]
+    violations: tuple[tuple[int, str], ...] = ()
 
     @property
     def ok(self) -> bool:
-        return self.bounded and not self.violations
+        return self.bounded
 
 
 def verify_structure_theorem(
     S: Semigroup, n_lo: Optional[int] = None, n_hi: Optional[int] = None
 ) -> StructureReport:
-    """For each n in the window: all lengths lie on the step-delta progression
-    through the extremes, missing lengths cluster at the ends, and the end-gap
-    extent seen in the second half of the window never exceeds the first half.
+    """For each n in the window: missing lengths cluster at the ends of the
+    step-delta progression through the extremes, and the end-gap extent seen
+    in the second half of the window never exceeds the first half.
+
+    That every length lies on the progression holds by construction, since
+    LengthMultiset.lengths is a range with step delta; the differential tests
+    of length_multiset against brute-force enumeration check it.
 
     The default window starts at 4*n3**2 and spans four trade elements.  A
     window holding fewer than two elements of S has no two halves to compare
@@ -215,7 +222,6 @@ def verify_structure_theorem(
     if n_hi < n_lo:
         raise ValueError(f"n_hi must be >= n_lo, got window [{n_lo}, {n_hi}]")
     delta = S.delta
-    violations: list[tuple[int, str]] = []
     extents: list[tuple[int, int]] = []
     checked = 0
     for n in range(n_lo, n_hi + 1):
@@ -224,9 +230,6 @@ def verify_structure_theorem(
         checked += 1
         ms = length_multiset(S, n)
         lo, hi = ms.min_length, ms.max_length
-        off_grid = [ell for ell in ms.support() if (ell - lo) % delta]
-        if off_grid:
-            violations.append((n, f"lengths off the delta grid: {off_grid[:4]}"))
         low_missing, high_missing = end_gaps(ms)
         extents.append((
             (low_missing[-1] - lo) // delta + 1 if low_missing else 0,
@@ -250,7 +253,6 @@ def verify_structure_theorem(
         max_low_extent=max(e[0] for e in extents),
         max_high_extent=max(e[1] for e in extents),
         bounded=bounded,
-        violations=tuple(violations),
     )
 
 

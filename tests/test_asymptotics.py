@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from factorlengths import asymptotics
 from factorlengths.asymptotics import (
+    EnvelopeReport,
     NormalizedStep,
     asymptotic_constants,
     asymptotic_mean,
@@ -256,6 +258,35 @@ def _steps_from_fraction_sums(S, k: int) -> tuple[NormalizedStep, ...]:
     return tuple(steps)
 
 
+def _envelope_report_two_evaluations(S, k: int) -> EnvelopeReport:
+    """envelope_report evaluating the envelope at both ends of every step."""
+    seq = scaled_sequence(S, k)
+    ms = length_multiset(S, seq.element)
+    delta = seq.trade.delta
+    ok = True
+    max_point = Fraction(0)
+    max_step = Fraction(0)
+    for ell, mult in ms.items():
+        bound = upper_envelope(seq, ell)
+        gap = bound - mult
+        if gap < 0:
+            ok = False
+        if gap > max_point:
+            max_point = gap
+        if ell < seq.mode_len:
+            far = upper_envelope(seq, ell + delta)
+        elif ell > seq.mode_len:
+            far = upper_envelope(seq, ell - delta)
+        else:
+            far = bound
+        step_gap = max(gap, far - mult)
+        if step_gap > max_step:
+            max_step = step_gap
+    return EnvelopeReport(
+        k=k, pointwise_ok=ok, max_pointwise_gap=max_point, max_step_gap=max_step
+    )
+
+
 def _density_from_fraction_quotients(F: Fraction, x: Fraction) -> Fraction:
     """Triangular density with peak (F, 2) on [0, 1]."""
     if x == F:
@@ -263,6 +294,37 @@ def _density_from_fraction_quotients(F: Fraction, x: Fraction) -> Fraction:
     if x < F:
         return 2 * x / F
     return 2 * (1 - x) / (1 - F)
+
+
+class TestEnvelopeReportMatchesTwoEvaluations:
+    """envelope_report adds a fixed rise per side to each step's near-end
+    gap; evaluating the envelope at both ends of every step is the
+    reference."""
+
+    @pytest.mark.parametrize("gens,k", [
+        ((3, 5, 7), 1), ((3, 5, 7), 2), ((5, 8, 13), 1), ((5, 8, 13), 2), ((6, 9, 20), 1),
+    ])
+    def test_named_semigroups(self, gens, k):
+        S = make_semigroup(gens)
+        assert envelope_report(S, k) == _envelope_report_two_evaluations(S, k)
+
+    @pytest.mark.parametrize("gens", _small_random_semigroups(20, 5_000))
+    def test_random_semigroups(self, gens):
+        S = make_semigroup(gens)
+        assert envelope_report(S, 1) == _envelope_report_two_evaluations(S, 1)
+
+    def test_one_evaluation_per_length(self, monkeypatch):
+        calls = []
+
+        def counted(seq, x):
+            calls.append(x)
+            return upper_envelope(seq, x)
+
+        monkeypatch.setattr(asymptotics, "upper_envelope", counted)
+        S = make_semigroup([5, 8, 13])
+        envelope_report(S, 2)
+        ms = length_multiset(S, scaled_sequence(S, 2).element)
+        assert len(calls) == len(ms.support()) + 2
 
 
 class TestIntegerLoopsMatchFractions:

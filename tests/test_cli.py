@@ -162,6 +162,10 @@ class TestEgyptian:
         payload = json.loads(out)
         assert payload["decomposition"] == [2, 5, 37, 4070]
 
+    def test_whole_target_fits_its_term_cap(self, capsys):
+        code, out, _ = run(capsys, "egyptian", "1", "--terms", "1")
+        assert code == 0 and json.loads(out)["decomposition"] == [1]
+
 
 class TestSweep:
     def test_csv(self, capsys):

@@ -20,7 +20,7 @@ from factorlengths.constructions import (
 from factorlengths.exactnum import QuadNumber, quad_sqrt
 from factorlengths.semigroup import Semigroup
 
-from oracles import brute_three_unit_fractions
+from oracles import all_unit_fraction_decompositions, brute_three_unit_fractions
 
 HALF = Fraction(1, 2)
 
@@ -136,9 +136,10 @@ class TestThreeUnitFractions:
                 assert d1 < d2 < d3
 
     def test_completeness_against_blind_scan(self):
+        """Every solution, in lexicographic order."""
         for num, den in [(3, 4), (4, 5), (8, 11), (2, 3), (5, 6), (7, 12), (1, 2)]:
             target = Fraction(num, den)
-            assert set(three_unit_fractions(target)) == brute_three_unit_fractions(target)
+            assert three_unit_fractions(target) == sorted(brute_three_unit_fractions(target))
 
     def test_positive_target_required(self):
         with pytest.raises(ValueError):
@@ -163,11 +164,25 @@ class TestDecomposition:
     def test_four_term_solution_count(self):
         """Under the distinct-denominator convention, 8/11 has exactly
         sixteen 4-term decompositions (and the returned one is among them)."""
-        from oracles import all_unit_fraction_decompositions
-
         sols = all_unit_fraction_decompositions(Fraction(8, 11), 4)
         assert len(sols) == 16
         assert unit_fraction_decomposition(Fraction(8, 11), 4) in sols
+
+    def test_first_of_fewest_terms(self):
+        """The lexicographically first decomposition of the fewest terms."""
+        rng = random.Random(18)
+        targets = [Fraction(1), Fraction(3, 2)]
+        for _ in range(60):
+            den = rng.randrange(2, 30)
+            targets.append(Fraction(rng.randrange(1, 2 * den), den))
+        for target in targets:
+            max_terms = rng.randint(math.ceil(target), 4)
+            expected = next(
+                (sols[0] for terms in range(1, max_terms + 1)
+                 if (sols := all_unit_fraction_decompositions(target, terms))),
+                None,
+            )
+            assert unit_fraction_decomposition(target, max_terms) == expected, (target, max_terms)
 
     def test_shortest_is_returned(self):
         assert unit_fraction_decomposition(Fraction(3, 4), 4) == (2, 4)

@@ -1,8 +1,8 @@
 """Module boundaries checked on the source: the JSON form of results lives
 in one module (`cli` alone imports json, and no module spells a `to_json`
-or `from_json` of its own), no package module or script imports a name it
-does not use, and the test oracles, which the benchmark loads too, import
-only the standard library and the package."""
+or `from_json` of its own), no package module, script or test file imports
+a name it does not use, and the test oracles, which the benchmark loads
+too, import only the standard library and the package."""
 
 import ast
 import sys
@@ -13,6 +13,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "factorlengths"
 MODULES = sorted(PACKAGE.glob("*.py"))
 SCRIPTS = sorted((PACKAGE.parent.parent / "scripts").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
@@ -55,7 +56,7 @@ def _unused_imports(tree: ast.AST) -> list[str]:
 
 @pytest.mark.parametrize(
     "path",
-    [path for path in MODULES if path.name != "__init__.py"] + SCRIPTS,
+    [path for path in MODULES if path.name != "__init__.py"] + SCRIPTS + TESTS,
     ids=lambda path: f"{path.parent.name}/{path.name}",
 )
 def test_every_import_is_used(path):
