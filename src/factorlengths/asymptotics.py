@@ -51,7 +51,10 @@ def asymptotic_median(S: Semigroup) -> QuadNumber:
     _require_three(S)
     n1, _, n3 = S.gens
     inv1, inv3 = Fraction(1, n1), Fraction(1, n3)
-    return inv3 + (inv1 - inv3) * triangular_model(fulcrum(S)).median
+    c = inv1 - inv3
+    w = triangular_model(fulcrum(S)).median
+    # w/n1 + (1 - w)/n3 = 1/n3 + c*w, on the components of w
+    return QuadNumber(inv3 + c * w.a, c * w.b, w.m)
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,8 @@ def triangular_model(F: Fraction) -> TriangularModel:
     if not 0 <= F <= 1:
         raise ValueError(f"peak {F} outside [0, 1]")
     if F <= _HALF:
-        median = 1 - quad_sqrt((1 - F) / 2)
+        s = quad_sqrt((1 - F) / 2)
+        median = QuadNumber(1 - s.a, -s.b, s.m)  # 1 - s
     else:
         median = quad_sqrt(F / 2)
     return TriangularModel(peak=F, mean=(1 + F) / 3, median=median)

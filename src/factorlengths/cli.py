@@ -20,13 +20,7 @@ from fractions import Fraction
 
 from . import asymptotics, constructions, experiments, factorization, invariants
 from .exactnum import QuadNumber
-from .semigroup import (
-    InvalidGenerators,
-    NotInSemigroup,
-    Semigroup,
-    parse_semigroup,
-    trade_data,
-)
+from .semigroup import Semigroup, parse_semigroup, trade_data
 
 
 def _decimal(x) -> str:
@@ -304,7 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidGenerators, NotInSemigroup, invariants.EmptyMultisetError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

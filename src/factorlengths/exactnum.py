@@ -3,8 +3,9 @@
 Rationals are stdlib ``fractions.Fraction`` throughout (arbitrary precision,
 canonical gcd-reduced form for free).  On top of that this module provides
 ``QuadNumber``, an exact element a + b*sqrt(m) of a real quadratic field,
-with canonicalization, ring arithmetic and a decimal printer: enough to
-state an exact median constant.  It has no ordering; the exact sign test
+with canonicalization and a decimal printer: enough to state an exact
+median constant.  It has no arithmetic and no ordering: the median constant
+is built from its components where it is derived, and the exact sign test
 the tests need lives with their oracles.
 """
 
@@ -151,61 +152,9 @@ class QuadNumber:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "m", m)
 
-    @classmethod
-    def from_rational(cls, value: Fraction | int) -> "QuadNumber":
-        return cls(Fraction(value), Fraction(0), 1)
-
     @property
     def is_rational(self) -> bool:
         return self.b == 0
-
-    def _coerce(self, other) -> "QuadNumber | None":
-        if isinstance(other, QuadNumber):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadNumber.from_rational(other)
-        return None
-
-    def __add__(self, other) -> "QuadNumber":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.m == o.m or self.is_rational or o.is_rational:
-            m = self.m if not self.is_rational else o.m
-            return QuadNumber(self.a + o.a, self.b + o.b, m)
-        raise ValueError(f"cannot add values over sqrt({self.m}) and sqrt({o.m})")
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadNumber":
-        return QuadNumber(-self.a, -self.b, self.m)
-
-    def __sub__(self, other) -> "QuadNumber":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "QuadNumber":
-        return -(self - other)
-
-    def __mul__(self, other) -> "QuadNumber":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_rational:
-            return QuadNumber(self.a * o.a, self.a * o.b, o.m)
-        if o.is_rational:
-            return QuadNumber(self.a * o.a, self.b * o.a, self.m)
-        if self.m != o.m:
-            raise ValueError(f"cannot multiply values over sqrt({self.m}) and sqrt({o.m})")
-        return QuadNumber(
-            self.a * o.a + self.b * o.b * self.m,
-            self.a * o.b + self.b * o.a,
-            self.m,
-        )
-
-    __rmul__ = __mul__
 
     def approx_fraction(self, digits: int = 30) -> Fraction:
         """Rational approximation accurate to ~digits decimal places."""
@@ -239,7 +188,7 @@ def quad_sqrt(value: Fraction | int) -> QuadNumber:
     if r < 0:
         raise ValueError(f"negative radicand {r}")
     if r == 0:
-        return QuadNumber.from_rational(0)
+        return QuadNumber(Fraction(0), Fraction(0))
     root, core = squarefree_decompose(r.numerator * r.denominator)
     return QuadNumber(Fraction(0), Fraction(root, r.denominator), core)
 

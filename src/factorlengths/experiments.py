@@ -410,7 +410,7 @@ def multi_generator_histogram(S: Semigroup, n: int) -> HistogramExploration:
     ms = length_multiset(S, n)
     step = S.delta
     counts = ms.counts
-    candidates: list[int] = []
+    candidates: set[int] = set()
     prev_sign = 0
     prev_length = None
     zeros: list[int] = []
@@ -422,9 +422,7 @@ def multi_generator_histogram(S: Semigroup, n: int) -> HistogramExploration:
             zeros.append(ell)
             continue
         if prev_sign and sign != prev_sign:
-            for cand in (prev_length, *zeros, ell):
-                if cand not in candidates:
-                    candidates.append(cand)
+            candidates.update((prev_length, *zeros, ell))
         prev_sign, prev_length = sign, ell
         zeros = []
     peak_lengths, peak_mult = mode(ms)

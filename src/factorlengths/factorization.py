@@ -56,12 +56,6 @@ class LengthMultiset:
         """{length: multiplicity} of the lengths that occur, ascending."""
         return dict(self.items())
 
-    def multiplicity(self, length: int) -> int:
-        return self.counts[self.lengths.index(length)] if length in self.lengths else 0
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(compress(self.lengths, self.counts))
-
     def items(self):
         """(length, multiplicity) pairs of the lengths that occur, ascending."""
         return compress(zip(self.lengths, self.counts), self.counts)

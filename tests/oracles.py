@@ -156,7 +156,8 @@ def compare_quadratics(x: QuadNumber, y: QuadNumber) -> int:
     no floating point is involved.
     """
     if x.m == y.m or x.is_rational or y.is_rational:
-        return quad_sign(x - y)
+        # a rational side has m == 1, so max picks the shared radicand
+        return quad_sign(QuadNumber(x.a - y.a, x.b - y.b, max(x.m, y.m)))
     # left = (x.a - y.a) + x.b sqrt(m) against right = y.b sqrt(n)
     d = x.a - y.a
     left = quad_sign(QuadNumber(d, x.b, x.m))

@@ -84,7 +84,7 @@ def test_criterion_2_mode_of_1001():
         lengths, freq = mode(length_multiset(S, 1001))
         assert freq == 8
         assert lengths == (107, 108, 110, 111, 112, 113, 114, 115)
-        assert length_multiset(S, 1001).multiplicity(87) == 5
+        assert length_multiset(S, 1001).entries[87] == 5
         fiber = [f for f in enumerate_factorizations(S.gens, 1001) if sum(f) == 87]
         assert sorted(fiber) == sorted(LENGTH_87_TUPLES)
 
@@ -119,9 +119,9 @@ def test_criterion_5_figure_reproduction():
         missing = [ell for ell in full if ell not in ms.entries]
         # gap set is low-end bounded; here it is empty
         assert missing == []
-        assert ms.support() == full
+        assert tuple(ms.entries) == full
         for ell in range(91, 210, 2):
-            assert ms.multiplicity(ell) == 0
+            assert ms.entries.get(ell, 0) == 0
 
 
 def test_criterion_6_oracle_equivalence():

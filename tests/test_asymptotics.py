@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from factorlengths import asymptotics
 from factorlengths.asymptotics import (
@@ -19,13 +20,19 @@ from factorlengths.asymptotics import (
     triangular_model,
     upper_envelope,
 )
-from factorlengths.exactnum import QuadNumber, quad_sqrt
+from factorlengths.exactnum import QuadNumber
 from factorlengths.factorization import length_multiset
 from factorlengths.semigroup import make_semigroup
 
 from oracles import compare_quadratics, random_semigroup_3
 
 HALF = Fraction(1, 2)
+
+
+def assert_equals_sympy(expected, q: QuadNumber) -> None:
+    """q is exactly the sympy expression expected."""
+    value = sympy.Rational(q.a) + sympy.Rational(q.b) * sympy.sqrt(q.m)
+    assert sympy.expand(expected - value) == 0, (expected, q)
 
 
 class TestFulcrum:
@@ -75,26 +82,30 @@ class TestMedianConstant:
         n1, n3 = 3, 6
         F = fulcrum(S)
         assert F == HALF
-        low_branch = Fraction(1, n1) * (1 - quad_sqrt((1 - F) / 2)) + Fraction(1, n3) * quad_sqrt(
-            (1 - F) / 2
-        )
-        high_branch = Fraction(1, n1) * quad_sqrt(F / 2) + Fraction(1, n3) * (
-            1 - quad_sqrt(F / 2)
-        )
-        assert low_branch == high_branch == asymptotic_median(S)
+        F = sympy.Rational(F)
+        low = 1 - sympy.sqrt((1 - F) / 2)
+        high = sympy.sqrt(F / 2)
+        med = asymptotic_median(S)
+        assert_equals_sympy(sympy.Rational(1, n1) * low + sympy.Rational(1, n3) * (1 - low), med)
+        assert_equals_sympy(sympy.Rational(1, n1) * high + sympy.Rational(1, n3) * (1 - high), med)
 
     def test_convexity_bounds_exact(self):
         """The median constant lies between the two extreme convex mixes of
-        1/n1 and 1/n3 with sqrt(1/2) weights; checked by exact sign tests."""
-        h = quad_sqrt(HALF)
+        1/n1 and 1/n3 with sqrt(1/2) weights; checked by exact sign tests.
+        With h = sqrt(1/2) = sqrt(2)/2 the bounds are 1/n1 + (1/n3 - 1/n1)*h
+        and 1/n3 + (1/n1 - 1/n3)*h, each checked against sympy."""
+        h = sympy.sqrt(sympy.Rational(1, 2))
         rng = random.Random(99)
         samples = [(3, 5, 7), (6, 9, 20), (7, 16, 25), (48, 49, 50), (3, 4, 6)]
         samples += [random_semigroup_3(rng) for _ in range(30)]
         for gens in samples:
             S = make_semigroup(gens)
             n1, n3 = S.gens[0], S.gens[2]
-            lo = Fraction(1, n1) * (1 - h) + Fraction(1, n3) * h
-            hi = Fraction(1, n1) * h + Fraction(1, n3) * (1 - h)
+            inv1, inv3 = Fraction(1, n1), Fraction(1, n3)
+            lo = QuadNumber(inv1, (inv3 - inv1) / 2, 2)
+            hi = QuadNumber(inv3, (inv1 - inv3) / 2, 2)
+            assert_equals_sympy(sympy.Rational(inv1) * (1 - h) + sympy.Rational(inv3) * h, lo)
+            assert_equals_sympy(sympy.Rational(inv1) * h + sympy.Rational(inv3) * (1 - h), hi)
             med = asymptotic_median(S)
             assert compare_quadratics(lo, med) <= 0 <= compare_quadratics(hi, med), gens
 
@@ -164,11 +175,12 @@ class TestTriangularModel:
     def test_skewed(self):
         model = triangular_model(Fraction(3, 10))
         assert model.mean == Fraction(13, 30)
-        assert model.median == 1 - quad_sqrt(Fraction(7, 20))
+        assert_equals_sympy(1 - sympy.sqrt(sympy.Rational(7, 20)), model.median)
 
     def test_extreme_peaks(self):
-        assert triangular_model(Fraction(0)).median == 1 - quad_sqrt(HALF)
-        assert triangular_model(Fraction(1)).median == quad_sqrt(HALF)
+        half = sympy.Rational(1, 2)
+        assert_equals_sympy(1 - sympy.sqrt(half), triangular_model(Fraction(0)).median)
+        assert_equals_sympy(sympy.sqrt(half), triangular_model(Fraction(1)).median)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -324,7 +336,7 @@ class TestEnvelopeReportMatchesTwoEvaluations:
         S = make_semigroup([5, 8, 13])
         envelope_report(S, 2)
         ms = length_multiset(S, scaled_sequence(S, 2).element)
-        assert len(calls) == len(ms.support()) + 2
+        assert len(calls) == len(ms.entries) + 2
 
 
 class TestIntegerLoopsMatchFractions:
@@ -364,9 +376,9 @@ class TestMedianRadicandForms:
 
     def alternative_median(self, S):
         n1, n2, n3 = S.gens
-        root = quad_sqrt(Fraction((n2 - n1) * (n3 - n1), 2 * n2 * n3))
-        s = Fraction(n3, n3 - n1) * root
-        return Fraction(1, n1) * (1 - s) + Fraction(1, n3) * s
+        root = sympy.sqrt(sympy.Rational((n2 - n1) * (n3 - n1), 2 * n2 * n3))
+        s = sympy.Rational(n3, n3 - n1) * root
+        return sympy.Rational(1, n1) * (1 - s) + sympy.Rational(1, n3) * s
 
     def test_forms_agree_on_construction_families(self):
         from factorlengths.constructions import (
@@ -382,14 +394,14 @@ class TestMedianRadicandForms:
         assert len(semigroups) > 10
         for S in semigroups:
             assert fulcrum(S) <= HALF
-            assert asymptotic_median(S) == self.alternative_median(S), S.gens
+            assert_equals_sympy(self.alternative_median(S), asymptotic_median(S))
 
     def test_forms_agree_on_random_low_fulcrum_semigroups(self):
         rng = random.Random(44)
         for _ in range(40):
             S = make_semigroup(random_semigroup_3(rng))
             if fulcrum(S) <= HALF:
-                assert asymptotic_median(S) == self.alternative_median(S), S.gens
+                assert_equals_sympy(self.alternative_median(S), asymptotic_median(S))
 
     def test_high_fulcrum_form(self):
         """For F > 1/2 the weight on 1/n1 is sqrt(F/2), with F written out
@@ -402,6 +414,6 @@ class TestMedianRadicandForms:
             if Fraction(n1 * (n3 - n2), n2 * (n3 - n1)) > HALF:
                 samples.append(gens)
         for n1, n2, n3 in samples:
-            s = quad_sqrt(Fraction(n1 * (n3 - n2), n2 * (n3 - n1)) / 2)
-            expected = Fraction(1, n1) * s + Fraction(1, n3) * (1 - s)
-            assert asymptotic_median(make_semigroup([n1, n2, n3])) == expected, (n1, n2, n3)
+            s = sympy.sqrt(sympy.Rational(n1 * (n3 - n2), n2 * (n3 - n1)) / 2)
+            expected = sympy.Rational(1, n1) * s + sympy.Rational(1, n3) * (1 - s)
+            assert_equals_sympy(expected, asymptotic_median(make_semigroup([n1, n2, n3])))

@@ -1,8 +1,10 @@
 """Module boundaries checked on the source: the JSON form of results lives
 in one module (`cli` alone imports json, and no module spells a `to_json`
 or `from_json` of its own), no package module, script or test file imports
-a name it does not use, and the test oracles, which the benchmark loads
-too, import only the standard library and the package."""
+a name it does not use, every public function or method of the package has
+a caller in the package or the scripts (or is exported in `__all__`), and
+the test oracles, which the benchmark loads too, import only the standard
+library and the package."""
 
 import ast
 import sys
@@ -69,3 +71,61 @@ def test_oracles_import_only_stdlib_and_package():
     imported = _imports(ast.parse(ORACLES.read_text(encoding="utf-8")))
     assert "factorlengths" in imported
     assert imported - sys.stdlib_module_names - {"factorlengths"} == set()
+
+
+# Public API that only the tests or the benchmark reach, kept on purpose.
+NO_PACKAGE_CALLER = {
+    "envelope_report": "the exact_model benchmark workload calls it directly",
+    "LengthMultiset.entries": "perfbench/tracing.py reads it to count emitted lengths",
+    "NormalizedHistogram.total_mass": "tests check that the normalized histogram has unit mass",
+    "NormalizedHistogram.sup_deviation": "tests bound the histogram's distance to the triangular model",
+    "primitive_triples": "tests build the Pythagorean semigroup family from it",
+    "mean_constant_inverse": "tests check the inverse problem for the mean constant",
+    "extreme_length_steps": "tests check that the extreme lengths are quasilinear",
+    "Semigroup.is_minimal": "tests check that constructed generator sets are minimal",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, def node) of the public module-level functions and
+    public methods of module-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(node: ast.AST, inside: tuple[str, ...] = ()):
+    """Names and attribute names used in node, skipping each one inside a
+    definition of that same name, so recursion is not a caller."""
+    if isinstance(node, ast.FunctionDef):
+        inside = (*inside, node.name)
+    if isinstance(node, ast.Name) and node.id not in inside:
+        yield node.id
+    elif isinstance(node, ast.Attribute) and node.attr not in inside:
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, inside)
+
+
+def test_every_public_function_has_a_caller():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES + SCRIPTS}
+    used = set()
+    for tree in trees.values():
+        used.update(_references(tree))
+    init = trees[PACKAGE / "__init__.py"]
+    exported = next(
+        ast.literal_eval(node.value) for node in init.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    uncalled = sorted(
+        name
+        for path in MODULES
+        for name, node in _public_definitions(trees[path])
+        if node.name not in used and name not in exported
+    )
+    assert uncalled == sorted(NO_PACKAGE_CALLER)
