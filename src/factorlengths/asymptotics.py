@@ -192,14 +192,6 @@ class NormalizedHistogram:
     step_width: Fraction
     fulcrum: Fraction
 
-    def total_mass(self) -> Fraction:
-        """Riemann sum of the step densities; exactly 1 by construction."""
-        return sum(s.density for s in self.steps) * self.step_width
-
-    def sup_deviation(self, model: TriangularModel) -> Fraction:
-        """Largest |density - model| over step midpoints."""
-        return max(abs(s.density - model.density(s.midpoint)) for s in self.steps)
-
 
 def normalized_histogram(S: Semigroup, k: int) -> NormalizedHistogram:
     """Length histogram of k*scale mapped onto [0, 1] with unit mass.

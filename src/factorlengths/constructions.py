@@ -47,20 +47,6 @@ def pythagorean_semigroup(a: int, b: int, c: int) -> Semigroup:
     return make_semigroup([a * a - b * b, a * a, a * a + b * b])
 
 
-def primitive_triples(max_hypotenuse: int) -> Iterator[tuple[int, int, int]]:
-    """Primitive Pythagorean triples (a, b, c) with a > b, c <= bound."""
-    m = 2
-    while m * m + 1 <= max_hypotenuse:
-        for n in range(1, m):
-            if (m - n) % 2 == 1 and math.gcd(m, n) == 1:
-                c = m * m + n * n
-                if c > max_hypotenuse:
-                    break
-                legs = sorted((m * m - n * n, 2 * m * n), reverse=True)
-                yield legs[0], legs[1], c
-        m += 1
-
-
 def sqrt_d_semigroup(d: int, t: int) -> Semigroup | ConstructionRejection:
     """Semigroup with median constant irrational in Q(sqrt(d)), if t works.
 
@@ -143,23 +129,3 @@ def unit_fraction_decomposition(target: Fraction, max_terms: int) -> Optional[tu
         (found for terms in range(1, max_terms + 1) for found in _unit_fractions(target, terms)),
         None,
     )
-
-
-_MEAN_SUP = Fraction(47, 180)
-
-
-def mean_constant_inverse(target: Fraction) -> list[Semigroup]:
-    """All 3-generator semigroups whose asymptotic mean constant is target.
-
-    target must lie strictly inside (0, 47/180); the supremum 47/180 itself
-    belongs to the excluded boundary.  Solves 3*target as a sum of three
-    distinct unit fractions and keeps the gcd-1 denominator triples.
-    """
-    target = Fraction(target)
-    if not 0 < target < _MEAN_SUP:
-        raise ValueError(f"target must lie strictly in (0, {_MEAN_SUP}), got {target}")
-    out = []
-    for triple in three_unit_fractions(3 * target):
-        if math.gcd(triple[0], math.gcd(triple[1], triple[2])) == 1:
-            out.append(make_semigroup(triple))
-    return out

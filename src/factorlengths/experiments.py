@@ -435,32 +435,3 @@ def multi_generator_histogram(S: Semigroup, n: int) -> HistogramExploration:
         peak_lengths=peak_lengths,
         peak_multiplicity=peak_mult,
     )
-
-
-def extreme_length_steps(S: Semigroup, n_lo: int, count: int) -> tuple[bool, Optional[int]]:
-    """Check quasilinearity of the extremes over `count` semigroup elements
-    at and beyond n_lo: max length gains exactly 1 per +n1, min length gains
-    exactly 1 per +nk.  Returns (ok, first offending n)."""
-    n1, nk = S.gens[0], S.gens[-1]
-    hi_bound = n_lo + count * 2 + n1 * nk * 6
-    ahead: dict[int, tuple[int, int]] = {}  # extremes of the elements in [n, n + nk]
-
-    def extremes(m: int) -> tuple[int, int]:
-        if m not in ahead:
-            ms = length_multiset(S, m)
-            ahead[m] = ms.min_length, ms.max_length
-        return ahead[m]
-
-    seen = 0
-    n = n_lo
-    while seen < count and n <= hi_bound:
-        if contains(S, n):
-            seen += 1
-            lo_len, hi_len = extremes(n)
-            lo_next, _ = extremes(n + nk)
-            _, hi_next = extremes(n + n1)
-            del ahead[n]
-            if hi_next != hi_len + 1 or lo_next != lo_len + 1:
-                return False, n
-        n += 1
-    return True, None

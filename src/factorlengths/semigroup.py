@@ -66,19 +66,33 @@ class Semigroup:
     @cached_property
     def apery(self) -> list[int]:
         """Apery set with respect to n1: apery[r] is the least element of S
-        congruent to r mod n1."""
-        return _apery(self.gens, self.gens[0])
+        congruent to r mod n1.
 
-    @cached_property
-    def is_minimal(self) -> bool:
-        """True when no generator is representable by the smaller ones (n1
-        never is, so only n2..nk are tested)."""
-        n1 = self.gens[0]
-        for i in range(1, self.k):
-            least = _apery(self.gens[:i], n1)[self.gens[i] % n1]
-            if least is not None and least <= self.gens[i]:
-                return False
-        return True
+        Round-robin pass (Boecker & Liptak 2007): adding generator g joins the
+        residues into gcd(g, n1) cycles under +g; walking each cycle once from
+        its least entry relaxes every class along it, so each generator costs
+        O(n1).  None marks a class not reached yet; gcd 1 means the pass
+        reaches every class.
+        """
+        m = self.gens[0]
+        least: list[int | None] = [None] * m
+        least[0] = 0
+        for g in self.gens:
+            d = math.gcd(g, m)
+            for r in range(d):
+                cycle = [q for q in range(r, m, d) if least[q] is not None]
+                if not cycle:
+                    continue
+                q = min(cycle, key=least.__getitem__)
+                value = least[q]
+                for _ in range(m // d - 1):
+                    q = (q + g) % m
+                    value += g
+                    if least[q] is None or least[q] > value:
+                        least[q] = value
+                    else:
+                        value = least[q]
+        return least
 
     def __str__(self) -> str:
         return "<" + ", ".join(map(str, self.gens)) + ">"
@@ -97,35 +111,6 @@ def parse_semigroup(text: str) -> Semigroup:
     except ValueError as exc:
         raise InvalidGenerators(f"cannot parse generators from {text!r}") from exc
     return make_semigroup(gens)
-
-
-def _apery(gens: tuple[int, ...], m: int) -> list[int | None]:
-    """Least element of the monoid <gens> in each residue class mod m, or None
-    when the class is empty (no gcd requirement on gens).
-
-    Round-robin pass (Boecker & Liptak 2007): adding generator g joins the
-    residues into gcd(g, m) cycles under +g; walking each cycle once from
-    its least entry relaxes every class along it, so each generator costs
-    O(m).
-    """
-    least: list[int | None] = [None] * m
-    least[0] = 0
-    for g in gens:
-        d = math.gcd(g, m)
-        for r in range(d):
-            cycle = [q for q in range(r, m, d) if least[q] is not None]
-            if not cycle:
-                continue
-            q = min(cycle, key=least.__getitem__)
-            value = least[q]
-            for _ in range(m // d - 1):
-                q = (q + g) % m
-                value += g
-                if least[q] is None or least[q] > value:
-                    least[q] = value
-                else:
-                    value = least[q]
-    return least
 
 
 def contains(S: Semigroup, n: int) -> bool:

@@ -5,13 +5,16 @@ nested scans and trial division, slow but obviously correct.
 ``enumerate_factorizations`` lists every coefficient tuple; the closed
 lattice-point counting in ``factorlengths.factorization`` is checked against
 it, and the blind ``itertools.product`` scan of ``brute_factorizations``
-checks the enumerator in turn.  ``QuadNumber`` has no ordering, so the
-exact sign of a + b*sqrt(m) is here: ``quad_sign`` clears denominators and
-compares integer squares.  ``compare_quadratics`` builds on it to order
-values over two different radicals.
+checks the enumerator in turn.  ``is_minimal`` asks the enumerator whether
+a generator is a sum of smaller ones, and ``primitive_triples`` scans leg
+pairs rather than using Euclid's formula.  ``QuadNumber`` has no ordering,
+so the exact sign of a + b*sqrt(m) is here: ``quad_sign`` clears
+denominators and compares integer squares.  ``compare_quadratics`` builds on
+it to order values over two different radicals.
 
-Imports stay stdlib plus ``factorlengths``: the benchmark loads this file
-too, and a test-only dependency here would change what it runs.
+Imports stay stdlib plus ``QuadNumber``: the benchmark loads this file too,
+and a test-only dependency here would change what it runs, while package
+code reused here would agree with the code it is meant to check.
 """
 
 from __future__ import annotations
@@ -65,6 +68,23 @@ def enumerate_factorizations(gens: tuple[int, ...], n: int) -> list[tuple[int, .
 def brute_length_counter(gens: tuple[int, ...], n: int) -> Counter:
     """Length multiset {length: multiplicity} of the enumerated tuples."""
     return Counter(map(sum, enumerate_factorizations(gens, n)))
+
+
+def is_minimal(gens: tuple[int, ...]) -> bool:
+    """True when no generator of the sorted tuple is a sum of smaller ones."""
+    return not any(enumerate_factorizations(gens[:i], gens[i]) for i in range(1, len(gens)))
+
+
+def primitive_triples(max_hypotenuse: int) -> list[tuple[int, int, int]]:
+    """Primitive Pythagorean triples (a, b, c) with a > b and c <= bound, by
+    scanning every pair of legs instead of using Euclid's formula."""
+    out = []
+    for a in range(2, max_hypotenuse):
+        for b in range(1, a):
+            c = math.isqrt(a * a + b * b)
+            if c * c == a * a + b * b and c <= max_hypotenuse and math.gcd(a, b) == 1:
+                out.append((a, b, c))
+    return out
 
 
 def brute_is_prime(n: int) -> bool:

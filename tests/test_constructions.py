@@ -10,19 +10,28 @@ from factorlengths.asymptotics import asymptotic_mean, asymptotic_median, fulcru
 from factorlengths.constructions import (
     ConstructionRejection,
     find_sqrt_d_params,
-    mean_constant_inverse,
-    primitive_triples,
     pythagorean_semigroup,
     sqrt_d_semigroup,
     three_unit_fractions,
     unit_fraction_decomposition,
 )
 from factorlengths.exactnum import QuadNumber, quad_sqrt
-from factorlengths.semigroup import Semigroup
+from factorlengths.semigroup import Semigroup, make_semigroup
 
-from oracles import all_unit_fraction_decompositions, brute_three_unit_fractions
+from oracles import (
+    all_unit_fraction_decompositions,
+    brute_three_unit_fractions,
+    is_minimal,
+    primitive_triples,
+)
 
 HALF = Fraction(1, 2)
+
+
+def mean_constant_inverse(target: Fraction) -> list[Semigroup]:
+    """The semigroups whose asymptotic mean constant (1/n1 + 1/n2 + 1/n3)/3
+    is target: the gcd-1 triples of three_unit_fractions(3*target)."""
+    return [make_semigroup(t) for t in three_unit_fractions(3 * target) if math.gcd(*t) == 1]
 
 
 class TestPythagorean:
@@ -55,7 +64,7 @@ class TestPythagorean:
             n1, n2, n3 = S.gens
             assert n2 - n1 == n3 - n2
             assert math.gcd(n1, n2 - n1) == 1
-            assert S.is_minimal
+            assert is_minimal(S.gens)
 
     def test_generator_yields_primitive_ordered_triples(self):
         triples = list(primitive_triples(60))
@@ -115,7 +124,7 @@ class TestSqrtD:
             assert radical == QuadNumber(Fraction(0), Fraction(offset, p * t * d), d)
             assert fulcrum(S) < HALF
             assert n2 - n1 == n3 - n2 and math.gcd(n1, offset) == 1
-            assert S.is_minimal
+            assert is_minimal(S.gens)
 
 
 class TestThreeUnitFractions:
@@ -210,9 +219,14 @@ class TestMeanConstantInverse:
     def test_forbidden_value(self):
         assert mean_constant_inverse(Fraction(8, 33)) == []
 
-    def test_supremum_excluded(self):
-        with pytest.raises(ValueError):
-            mean_constant_inverse(Fraction(47, 180))
+    def test_supremum_attained(self):
+        """1/3 + 1/4 + 1/5 = 47/60, so <3,4,5> attains the mean constant 47/180."""
+        semigroups = mean_constant_inverse(Fraction(47, 180))
+        assert any(S.gens == (3, 4, 5) for S in semigroups)
+        for S in semigroups:
+            assert asymptotic_mean(S) == Fraction(47, 180)
+
+    def test_zero_target_rejected(self):
         with pytest.raises(ValueError):
             mean_constant_inverse(Fraction(0))
 
@@ -226,7 +240,5 @@ class TestMeanConstantInverse:
         rng = random.Random(13)
         for _ in range(15):
             target = Fraction(rng.randrange(1, 46), 180)
-            if not 0 < target < Fraction(47, 180):
-                continue
             for S in mean_constant_inverse(target):
                 assert asymptotic_mean(S) == target

@@ -14,7 +14,6 @@ from factorlengths.experiments import (
     convergence_sweep,
     default_grid,
     end_gaps,
-    extreme_length_steps,
     multi_generator_histogram,
     probe_median_quasilinearity,
     verify_mode_theorem,
@@ -282,16 +281,3 @@ class TestMultiGeneratorHistogram:
     def test_requires_four_generators(self):
         with pytest.raises(ValueError):
             multi_generator_histogram(make_semigroup([3, 5, 7]), 100)
-
-
-class TestExtremeLengthSteps:
-    def test_mcnugget(self):
-        S = make_semigroup([6, 9, 20])
-        ok, offender = extreme_length_steps(S, 1600, 200)
-        assert ok and offender is None
-
-    def test_one_multiset_per_element(self, multiset_calls):
-        """The 875 elements from 2500 on, together with n + 7 and n + 25,
-        are 900 distinct elements, each counted once."""
-        assert extreme_length_steps(make_semigroup([7, 16, 25]), 2500, 875) == (True, None)
-        assert len(multiset_calls) == len(set(multiset_calls)) == 900

@@ -219,14 +219,18 @@ class TestExtremes:
     @pytest.mark.parametrize("gens", TEST_SEMIGROUPS)
     def test_extremes_quasilinear_over_window(self, gens):
         """Past 4*n3**2, max length gains 1 per +n1 and min gains 1 per +nk,
-        over a window of 5*n1*nk consecutive semigroup elements."""
-        from factorlengths.experiments import extreme_length_steps
-
+        over a window of 5*n1*nk consecutive elements (every integer past the
+        Frobenius number, which is below n1*nk, is one)."""
         S = make_semigroup(gens)
-        ok, offender = extreme_length_steps(
-            S, 4 * S.gens[-1] ** 2, 5 * S.gens[0] * S.gens[-1]
-        )
-        assert ok, f"extreme length step failed at {offender} in {gens}"
+        n1, nk = S.gens[0], S.gens[-1]
+        start, count = 4 * nk**2, 5 * n1 * nk
+        extremes = {}
+        for n in range(start, start + count + nk + 1):
+            ms = length_multiset(S, n)
+            extremes[n] = ms.min_length, ms.max_length
+        for n in range(start, start + count):
+            assert extremes[n + n1][1] == extremes[n][1] + 1, (gens, n)
+            assert extremes[n + nk][0] == extremes[n][0] + 1, (gens, n)
 
 
 class TestHistogramRows:

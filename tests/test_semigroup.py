@@ -19,6 +19,7 @@ from oracles import (
     brute_length_counter,
     brute_minimal_trade,
     enumerate_factorizations,
+    is_minimal,
     random_semigroup_3,
 )
 
@@ -62,12 +63,12 @@ class TestValidation:
         assert make_semigroup([7, 16, 25]).delta == 9
 
     def test_is_minimal(self):
-        assert make_semigroup([6, 9, 20]).is_minimal
-        assert make_semigroup([3, 5, 7]).is_minimal
-        assert not make_semigroup([3, 5, 8]).is_minimal  # 8 = 3 + 5
-        assert not make_semigroup([2, 3, 4]).is_minimal  # 4 = 2 + 2
-        assert make_semigroup([4, 6, 9]).is_minimal  # 9 is odd, <4, 6> is even
-        assert not make_semigroup([4, 6, 9, 10]).is_minimal  # 10 = 4 + 6
+        assert is_minimal((6, 9, 20))
+        assert is_minimal((3, 5, 7))
+        assert not is_minimal((3, 5, 8))  # 8 = 3 + 5
+        assert not is_minimal((2, 3, 4))  # 4 = 2 + 2
+        assert is_minimal((4, 6, 9))  # 9 is odd, <4, 6> is even
+        assert not is_minimal((4, 6, 9, 10))  # 10 = 4 + 6
 
 
 class TestMembership:
