@@ -270,10 +270,13 @@ class QuasilinearityVerdict:
     """Three-valued empirical verdict on eventual quasilinearity of the median.
 
     quasilinear: some tested period shows a constant median increment across
-    every semigroup element of its whole window, and the window holds at
-    least one.  not_quasilinear: every tested period exhibited a concrete
-    witness where the increment deviates.  inconclusive: anything else
-    (typically a budget-exhausted or empty window).
+    every semigroup element of its whole window, the window holds at least
+    one, and the asymptotic median constant is rational.  not_quasilinear:
+    every tested period exhibited a concrete witness where the increment
+    deviates.  inconclusive: anything else (a budget-exhausted or empty
+    window, or a window without deviation when the constant is irrational).
+    An eventually quasilinear median has a rational limit of median(n)/n,
+    so an irrational constant rules "quasilinear" out whatever a window shows.
     A finite window can never prove the "eventually" part; the window and
     check budget are recorded so the verdict is reproducible.
     """
@@ -311,9 +314,11 @@ def probe_median_quasilinearity(
     The default start is 4*n3**2, past the empirically chaotic range of
     small elements.  Each period scans the semigroup elements of its window
     in order: the first deviating median increment is that period's witness;
-    a window exhausted without deviation concludes quasilinear at that
-    period, unless it held no element; exceeding max_checks leaves the
-    period undecided.  Each element's
+    a window exhausted without deviation ends the probe at that period,
+    unless it held no element; exceeding max_checks leaves the period
+    undecided.  An exhausted window concludes quasilinear only when
+    `asymptotic_median(S)` is rational, and inconclusive otherwise: a
+    quasilinear median has a rational limit of median(n)/n.  Each element's
     median is computed once, however many periods visit it.
     """
     if S.k != 3:
@@ -370,7 +375,8 @@ def probe_median_quasilinearity(
             break
     undecided = [p for p in probes if p.witness is None]
     if probes[-1].window_exhausted:
-        verdict, decisive = "quasilinear", probes[-1]
+        rational = asymptotic_median(S).is_rational
+        verdict, decisive = "quasilinear" if rational else "inconclusive", probes[-1]
     elif undecided:
         verdict, decisive = "inconclusive", undecided[0]
     else:

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from factorlengths import cli
 from factorlengths.asymptotics import asymptotic_median
 from factorlengths.cli import main
 from factorlengths.exactnum import QuadNumber
@@ -307,80 +312,80 @@ class TestOutputPlumbing:
         assert first == second
 
 
+GOLDEN_DIGESTS = [
+    ("sweep -s 3,5,7",
+     "a45675ab2567e754e3c4664a0584a2944057d206daaf726f0a87d5d997cddfd8"),
+    ("sweep -s 48,49,50",
+     "7e40aec3cb5dcb7d4859bf91f161c2988a21b4821a07626268fd9ced049a918e"),
+    ("sweep -s 3,4,6",
+     "610409b10c3ec48f21fc26c286f69041f419b6de4bedb51bf9145470fe3b630b"),
+    ("verify mode -s 6,9,20 --n-max 2000",
+     "a8c58ccb70f12e252e83ab9a911cc9b2df79382f6305902a673f2f32ca08bf45"),
+    ("verify structure -s 6,9,20",
+     "686f2179329afa3a839796d8d33177da357628290f961b854c367e15fbd82162"),
+    ("verify structure -s 7,16,25",
+     "4b2e0b79502d8a972c07c74416717577982cca4ffbe32eac9397697c87a8d0c1"),
+    ("invariants -s 6,9,20 -n 132",
+     "57feef7e24b7d1cba74480d81223e2f7fa022a64da75367a67e85a8ed4173f7f"),
+    ("asymptotics -s 48,49,50",
+     "30c1d0cea0282bec65cf1e0739ae5c80c09fd823873faa9c92fe32ef790be438"),
+    ("histogram -s 3,5,7 -n 630 --include-zeros",
+     "c057808d681cd10709620d8e15a9ba690cfa304489c2bbdc8abe6b217c434a98"),
+    ("model -s 3,5,7 -k 2",
+     "0b03de1714912ea4e1817487c16e8f0e6f2a54af814f1f1751a16cb794e1a2b5"),
+    ("construct pythagorean 4 3 5",
+     "082c84af1e1af28f55a64dc417b18068c10c9805f1db63bb9ea23c4d94c021fb"),
+    ("construct sqrtd 2 5",
+     "963c86889932e47a1fe598dcb9864322cb3dd620317452f8f57cb1997dfabe88"),
+    ("egyptian 8/11 --terms 4",
+     "7a3895a8816f65d76fe0ced50aa62f479690851c063aeb94b9735853dfe8c0fb"),
+    ("histo4 -s 4,5,6,7 -n 1680",
+     "272e4f4dd31e38da8a067f4bc9535e7471e5152668df5b3153b0dd405991b9db"),
+    # the three verdicts: not_quasilinear, quasilinear, inconclusive
+    ("verify quasilinear -s 7,16,25",
+     "b1a1880fca835731ef583ea2595335264552279a4f43cf22ac8ccefdbb5d3bac"),
+    ("verify quasilinear -s 12,15,20",
+     "d728a1bc1b5a28b53f67b7551a7b403734ceb5e3b6428fc3fc1791c69af15972"),
+    ("verify quasilinear -s 12,15,20 --max-checks 5",
+     "8f891dc6e15344dd5c776c6985f9db20b3339969edcd4224a01f3cd6da47a563"),
+    ("verify quasilinear -s 7,16,25 --period 2800",
+     "2fd1013b912a00d9572213c56ce830c11b3dbf926d642cd0c376adfc80d7bcd7"),
+    ("verify quasilinear -s 6,9,20 --start 2000",
+     "d9303e19a430699d08d0a3c909f30b79accb6f0c5ca377682f27dd6381b74d4a"),
+    ("verify quasilinear -s 3,4,6",
+     "74fce5200341844f60d69392db396e2d4bcae50db21f7ab75bc8d2ef04ee8ec3"),
+    # skipped points print no row
+    ("sweep -s 6,9,20 --points 131,132,7,0",
+     "cd442d08084ee8dd066467e8e80c7af02351e96fe7571fd3601015af95d39b12"),
+    # every JSON shape: rejection, parameter scan, k = 2 and k = 4
+    # reports, n = 0, a rational median, a wide histo4
+    ("construct sqrtd 2 2",
+     "3cbf2ca5a88f41c972b9f3a8e722f28751bab7bf5b58810485d450dbb0499c57"),
+    ("construct sqrtd 2 --t-max 10",
+     "224650d422029f24823ec5b48b88e4e8256af79d36307c672f12b699f270f86d"),
+    ("egyptian 8/11 --all-3",
+     "b899893e1e58d9c3014661af042b66d9f5384d14e155aeb55d091d9cda4a0c74"),
+    ("invariants -s 4,5,6,7 -n 300",
+     "feab8755a855ef7d74b03b9ab7cf1b8d5afa546c180012f29423a99b680936ce"),
+    ("invariants -s 5,7 -n 200",
+     "7bcd9259755edd269fa4dc7595102e70c9d5e4a64463a7b9ab602391da677879"),
+    ("invariants -s 3,5,7 -n 0",
+     "520e33070c7b1b6649e87ae2b24e99cb003541594a9e3da03f0d25dbd036a5c6"),
+    ("asymptotics -s 3,4,6",
+     "2c7b7a3f750cd614a39acefdb96515bc4efb9a05885840e99e16b57d99c1b7da"),
+    ("histo4 -s 5,7,8,9,11 -n 2520",
+     "f5a70e0040734fec196a5144424d15a83f099a604bb737ebd0663964b65450b2"),
+    # an empty range below every nonzero element still checks n = 0
+    ("verify mode -s 6,9,20 --n-max 0",
+     "2518d653ec2a5714c70ad2eb45fbf755987406dae6078c72aaba705bbf983302"),
+]
+
+
 class TestGoldenBytes:
     """Exact stdout bytes of documented command lines, pinned by SHA-256 so
     refactors of the code paths behind them cannot change any output."""
 
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            ("sweep -s 3,5,7",
-             "a45675ab2567e754e3c4664a0584a2944057d206daaf726f0a87d5d997cddfd8"),
-            ("sweep -s 48,49,50",
-             "7e40aec3cb5dcb7d4859bf91f161c2988a21b4821a07626268fd9ced049a918e"),
-            ("sweep -s 3,4,6",
-             "610409b10c3ec48f21fc26c286f69041f419b6de4bedb51bf9145470fe3b630b"),
-            ("verify mode -s 6,9,20 --n-max 2000",
-             "a8c58ccb70f12e252e83ab9a911cc9b2df79382f6305902a673f2f32ca08bf45"),
-            ("verify structure -s 6,9,20",
-             "686f2179329afa3a839796d8d33177da357628290f961b854c367e15fbd82162"),
-            ("verify structure -s 7,16,25",
-             "4b2e0b79502d8a972c07c74416717577982cca4ffbe32eac9397697c87a8d0c1"),
-            ("invariants -s 6,9,20 -n 132",
-             "57feef7e24b7d1cba74480d81223e2f7fa022a64da75367a67e85a8ed4173f7f"),
-            ("asymptotics -s 48,49,50",
-             "30c1d0cea0282bec65cf1e0739ae5c80c09fd823873faa9c92fe32ef790be438"),
-            ("histogram -s 3,5,7 -n 630 --include-zeros",
-             "c057808d681cd10709620d8e15a9ba690cfa304489c2bbdc8abe6b217c434a98"),
-            ("model -s 3,5,7 -k 2",
-             "0b03de1714912ea4e1817487c16e8f0e6f2a54af814f1f1751a16cb794e1a2b5"),
-            ("construct pythagorean 4 3 5",
-             "082c84af1e1af28f55a64dc417b18068c10c9805f1db63bb9ea23c4d94c021fb"),
-            ("construct sqrtd 2 5",
-             "963c86889932e47a1fe598dcb9864322cb3dd620317452f8f57cb1997dfabe88"),
-            ("egyptian 8/11 --terms 4",
-             "7a3895a8816f65d76fe0ced50aa62f479690851c063aeb94b9735853dfe8c0fb"),
-            ("histo4 -s 4,5,6,7 -n 1680",
-             "272e4f4dd31e38da8a067f4bc9535e7471e5152668df5b3153b0dd405991b9db"),
-            # the three verdicts: not_quasilinear, quasilinear, inconclusive
-            ("verify quasilinear -s 7,16,25",
-             "b1a1880fca835731ef583ea2595335264552279a4f43cf22ac8ccefdbb5d3bac"),
-            ("verify quasilinear -s 12,15,20",
-             "d728a1bc1b5a28b53f67b7551a7b403734ceb5e3b6428fc3fc1791c69af15972"),
-            ("verify quasilinear -s 12,15,20 --max-checks 5",
-             "8f891dc6e15344dd5c776c6985f9db20b3339969edcd4224a01f3cd6da47a563"),
-            ("verify quasilinear -s 7,16,25 --period 2800",
-             "2fd1013b912a00d9572213c56ce830c11b3dbf926d642cd0c376adfc80d7bcd7"),
-            ("verify quasilinear -s 6,9,20 --start 2000",
-             "d9303e19a430699d08d0a3c909f30b79accb6f0c5ca377682f27dd6381b74d4a"),
-            ("verify quasilinear -s 3,4,6",
-             "74fce5200341844f60d69392db396e2d4bcae50db21f7ab75bc8d2ef04ee8ec3"),
-            # skipped points print no row
-            ("sweep -s 6,9,20 --points 131,132,7,0",
-             "cd442d08084ee8dd066467e8e80c7af02351e96fe7571fd3601015af95d39b12"),
-            # every JSON shape: rejection, parameter scan, k = 2 and k = 4
-            # reports, n = 0, a rational median, a wide histo4
-            ("construct sqrtd 2 2",
-             "3cbf2ca5a88f41c972b9f3a8e722f28751bab7bf5b58810485d450dbb0499c57"),
-            ("construct sqrtd 2 --t-max 10",
-             "224650d422029f24823ec5b48b88e4e8256af79d36307c672f12b699f270f86d"),
-            ("egyptian 8/11 --all-3",
-             "b899893e1e58d9c3014661af042b66d9f5384d14e155aeb55d091d9cda4a0c74"),
-            ("invariants -s 4,5,6,7 -n 300",
-             "feab8755a855ef7d74b03b9ab7cf1b8d5afa546c180012f29423a99b680936ce"),
-            ("invariants -s 5,7 -n 200",
-             "7bcd9259755edd269fa4dc7595102e70c9d5e4a64463a7b9ab602391da677879"),
-            ("invariants -s 3,5,7 -n 0",
-             "520e33070c7b1b6649e87ae2b24e99cb003541594a9e3da03f0d25dbd036a5c6"),
-            ("asymptotics -s 3,4,6",
-             "2c7b7a3f750cd614a39acefdb96515bc4efb9a05885840e99e16b57d99c1b7da"),
-            ("histo4 -s 5,7,8,9,11 -n 2520",
-             "f5a70e0040734fec196a5144424d15a83f099a604bb737ebd0663964b65450b2"),
-            # an empty range below every nonzero element still checks n = 0
-            ("verify mode -s 6,9,20 --n-max 0",
-             "2518d653ec2a5714c70ad2eb45fbf755987406dae6078c72aaba705bbf983302"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS)
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, err = run(capsys, *argv.split())
         assert code == 0, err
@@ -395,3 +400,64 @@ class TestGoldenBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "f5bf5498f9605d31199d7728959ae56e44cc373154a69ed8cc7713a2eeadcc0f"
         )
+
+
+@pytest.fixture
+def fresh_parser():
+    """The next `main` call builds the parser, as the first call in a process does."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def parser_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    return captured.err
+
+
+class TestReusedParser:
+    """`main` builds its parser once per process; later calls reuse it."""
+
+    def test_built_once(self, capsys, monkeypatch, fresh_parser):
+        builds = []
+        build = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for _ in range(3):
+            assert run(capsys, "invariants", "-s", "6,9,20", "-n", "132")[0] == 0
+            assert run(capsys, "invariants", "-s", "6,9,20", "-n", "7")[0] == 2
+            parser_error(capsys, "construct", "sqrtd", "2")
+        assert len(builds) == 1
+
+    def test_golden_bytes_in_reverse_among_errors(self, capsys):
+        for argv, digest in reversed(GOLDEN_DIGESTS):
+            code, out, err = run(capsys, "invariants", "-s", "6,9,20", "-n", "7")
+            assert code == 2 and out == "" and "not in semigroup" in err
+            assert "not allowed with argument t" in parser_error(
+                capsys, "construct", "sqrtd", "2", "5", "--t-max", "10")
+            code, out, err = run(capsys, *argv.split())
+            assert code == 0, err
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+    def test_parser_error_same_on_first_and_later_calls(self, capsys, monkeypatch,
+                                                        fresh_parser):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ("construct", "sqrtd", "2")
+        first = parser_error(capsys, *argv)
+        run(capsys, "asymptotics", "-s", "48,49,50")
+        run(capsys, "sweep", "-s", "3,5,7", "--points", ",")
+        parser_error(capsys, "sweep", "-s", "3,5,7", "--jobs", "2")
+        assert parser_error(capsys, *argv) == first
+        assert "one of the arguments t --t-max is required" in first
+        src = pathlib.Path(cli.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
+        fresh = subprocess.run([sys.executable, "-m", "factorlengths.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert fresh.returncode == 2 and fresh.stderr == first

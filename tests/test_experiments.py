@@ -1,6 +1,8 @@
 """Empirical verification drivers."""
 
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -216,6 +218,34 @@ class TestQuasilinearityProbe:
         verdict = probe_median_quasilinearity(make_semigroup([3, 4, 6]))
         assert verdict.verdict in {"quasilinear", "not_quasilinear", "inconclusive"}
         assert verdict.verdict == "quasilinear"
+
+    def test_irrational_constant_is_inconclusive(self):
+        """<48,49,50>'s median constant 1/48 - sqrt(2)/3360 is irrational, so
+        its median is not eventually quasilinear, although the default window
+        at period 98 shows no deviation."""
+        S = make_semigroup([48, 49, 50])
+        verdict = probe_median_quasilinearity(S)
+        assert not asymptotic_median(S).is_rational
+        assert verdict.verdict == "inconclusive"
+        assert verdict.period_tested == 98 and verdict.window == (10000, 10294)
+        assert verdict.witness is None and verdict.probes[-1].window_exhausted
+
+    def test_no_irrational_constant_is_quasilinear(self):
+        rng = random.Random(2026)
+        triples = set()
+        while len(triples) < 60:
+            gens = tuple(sorted(rng.sample(range(2, 30), 3)))
+            if math.gcd(*gens) == 1:
+                triples.add(gens)
+        clean_windows = 0
+        for gens in sorted(triples):
+            S = make_semigroup(gens)
+            verdict = probe_median_quasilinearity(S)
+            if not asymptotic_median(S).is_rational:
+                assert verdict.verdict != "quasilinear", gens
+                clean_windows += verdict.probes[-1].window_exhausted
+        # the rule is exercised: some irrational window shows no deviation
+        assert clean_windows > 0
 
     @pytest.mark.parametrize("max_checks", [0, -3])
     def test_non_positive_max_checks_rejected(self, max_checks):
