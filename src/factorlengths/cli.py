@@ -102,9 +102,7 @@ def _cmd_model(args) -> int:
 
 
 def _semigroup_payload(S: Semigroup) -> dict:
-    """Generator list plus the trade constants when they exist."""
-    if S.k != 3:
-        return {"gens": _plain(S)}
+    """Generator list plus the trade constants of a 3-generator semigroup."""
     trade = trade_data(S)
     return {"gens": _plain(S), "delta": trade.delta, "trade_element": trade.element}
 
@@ -168,7 +166,7 @@ def _point(item: str) -> int:
 
 def _cmd_sweep(args) -> int:
     S = parse_semigroup(args.semigroup)
-    if args.points:
+    if args.points is not None:
         points = [_point(item) for item in args.points.split(",")]
     else:
         points = experiments.default_grid(S)

@@ -13,18 +13,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from typing import Optional, Sequence
 
 from .asymptotics import asymptotic_mean, asymptotic_median
 from .exactnum import QuadNumber
 from .factorization import LengthMultiset, length_multiset
 from .invariants import mean_length, median_length, mode
-from .semigroup import (
-    NotInSemigroup,
-    Semigroup,
-    contains,
-    trade_data,
-)
+from .semigroup import Semigroup, contains, trade_data
 
 
 @dataclass(frozen=True)
@@ -48,21 +44,17 @@ class SweepResult:
     skipped: tuple[int, ...]
 
 
-def default_grid(S: Semigroup, targets: Sequence[int] = (100, 1_000, 10_000, 100_000)) -> list[int]:
-    """Geometric sample points snapped to the nearest semigroup element."""
-    hi = max(targets) + max(S.gens) + 1
-    grid = []
-    for target in targets:
-        for offset in range(hi):
-            for cand in (target - offset, target + offset):
-                if cand <= hi and contains(S, cand):
-                    break
-            else:
-                continue
-            break
-        if cand not in grid:
-            grid.append(cand)
-    return sorted(grid)
+def default_grid(S: Semigroup) -> list[int]:
+    """The targets 10**2 .. 10**5, each snapped to the nearest element of S
+    (the lower one on a tie), ascending and without repeats.
+
+    Each search ends within n1 - 1 steps of its target, because some
+    multiple of n1 lies less than n1 above it."""
+    return sorted({
+        next(cand for offset in count() for cand in (target - offset, target + offset)
+             if contains(S, cand))
+        for target in (100, 1_000, 10_000, 100_000)
+    })
 
 
 def convergence_sweep(S: Semigroup, n_points: Sequence[int]) -> SweepResult:
@@ -78,11 +70,10 @@ def convergence_sweep(S: Semigroup, n_points: Sequence[int]) -> SweepResult:
     for n in n_points:
         if n <= 0:
             continue
-        try:
-            ms = length_multiset(S, n)
-        except NotInSemigroup:
+        if not contains(S, n):
             skipped.append(n)
             continue
+        ms = length_multiset(S, n)
         mean_ratio = mean_length(ms) / n
         median_ratio = median_length(ms) / n
         rows.append(
@@ -166,15 +157,15 @@ def verify_mode_theorem(S: Semigroup, n_max: int) -> ModeTheoremReport:
     )
 
 
-def end_gaps(ms: LengthMultiset) -> tuple[list[int], list[int]]:
-    """Missing lengths of ms's progression from its least to its greatest
-    length, split low end / high end."""
-    count = len(ms.counts)
-    low_missing, high_missing = [], []
-    for idx, mult in enumerate(ms.counts):
-        if not mult:
-            (low_missing if idx < count / 2 else high_missing).append(ms.lengths[idx])
-    return low_missing, high_missing
+def _end_extents(ms: LengthMultiset) -> tuple[int, int]:
+    """(low, high) end-gap extents of ms, in steps of its progression: the
+    low extent runs from the least length through the last missing one in
+    the lower half of the counts, (len + 1) // 2 entries; the high extent
+    runs from the first missing one in the upper half through the greatest.
+    A zero appended to each half ends its search at extent 0."""
+    half = (len(ms.counts) + 1) // 2
+    lower, upper = ms.counts[:half], ms.counts[half:]
+    return half - [*reversed(lower), 0].index(0), len(upper) - [*upper, 0].index(0)
 
 
 @dataclass(frozen=True)
@@ -221,38 +212,25 @@ def verify_structure_theorem(
         n_hi = n_lo + 4 * trade_data(S).element
     if n_hi < n_lo:
         raise ValueError(f"n_hi must be >= n_lo, got window [{n_lo}, {n_hi}]")
-    delta = S.delta
-    extents: list[tuple[int, int]] = []
-    checked = 0
-    for n in range(n_lo, n_hi + 1):
-        if not contains(S, n):
-            continue
-        checked += 1
-        ms = length_multiset(S, n)
-        lo, hi = ms.min_length, ms.max_length
-        low_missing, high_missing = end_gaps(ms)
-        extents.append((
-            (low_missing[-1] - lo) // delta + 1 if low_missing else 0,
-            (hi - high_missing[0]) // delta + 1 if high_missing else 0,
-        ))
+    extents = [
+        _end_extents(length_multiset(S, n)) for n in range(n_lo, n_hi + 1) if contains(S, n)
+    ]
+    checked = len(extents)
     if checked < 2:
         raise ValueError(
             f"window [{n_lo}, {n_hi}] holds {checked} element(s) of the semigroup; "
             "the structure check needs at least 2"
         )
-    half = len(extents) // 2
-    bounded = (
-        max(e[0] for e in extents[half:]) <= max(e[0] for e in extents[:half])
-        and max(e[1] for e in extents[half:]) <= max(e[1] for e in extents[:half])
-    )
+    half = checked // 2
+    lows, highs = zip(*extents)
     return StructureReport(
         semigroup=S,
-        delta=delta,
+        delta=S.delta,
         window=(n_lo, n_hi),
         checked=checked,
-        max_low_extent=max(e[0] for e in extents),
-        max_high_extent=max(e[1] for e in extents),
-        bounded=bounded,
+        max_low_extent=max(lows),
+        max_high_extent=max(highs),
+        bounded=max(lows[half:]) <= max(lows[:half]) and max(highs[half:]) <= max(highs[:half]),
     )
 
 
@@ -334,10 +312,7 @@ def probe_median_quasilinearity(
 
     @functools.cache
     def median_at(n: int) -> Optional[Fraction]:
-        try:
-            return median_length(length_multiset(S, n))
-        except NotInSemigroup:
-            return None
+        return median_length(length_multiset(S, n)) if contains(S, n) else None
 
     probes: list[PeriodProbe] = []
     for period in periods:

@@ -258,11 +258,12 @@ class TestUsageErrors:
         (("verify", "quasilinear", "-s", "6,9,20", "--max-checks", "0"), "max_checks", None),
         (("verify", "quasilinear", "-s", "6,9,20", "--max-checks", "-3"), "max_checks", None),
         (("sweep", "-s", "3,5,7", "--points", ","), "--points item ''", "invalid literal"),
+        (("sweep", "-s", "3,5,7", "--points", ""), "--points item '' is not an integer", None),
         (("sweep", "-s", "3,5,7", "--points", "5,x"), "--points item 'x'", "invalid literal"),
         (("sweep", "-s", "3,5,7", "--points", "100,2.5"), "--points item '2.5'", "invalid literal"),
     ], ids=["inverted-structure-window", "zero-terms", "zero-denominator",
             "one-element-structure-window", "zero-t-max", "negative-t-max",
-            "zero-max-checks", "negative-max-checks", "empty-points-items",
+            "zero-max-checks", "negative-max-checks", "empty-points-items", "empty-points",
             "non-integer-point", "fractional-point"])
     def test_usage_errors_exit_2(self, capsys, argv, named, not_named):
         code, out, err = run(capsys, *argv)

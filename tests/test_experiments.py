@@ -12,10 +12,10 @@ from factorlengths import experiments
 from factorlengths.cli import _plain, main
 from factorlengths.asymptotics import asymptotic_mean, asymptotic_median
 from factorlengths.experiments import (
+    _end_extents,
     candidate_periods,
     convergence_sweep,
     default_grid,
-    end_gaps,
     multi_generator_histogram,
     probe_median_quasilinearity,
     verify_mode_theorem,
@@ -24,6 +24,37 @@ from factorlengths.experiments import (
 from factorlengths.factorization import length_multiset
 from factorlengths.invariants import mean_length, median_length
 from factorlengths.semigroup import make_semigroup
+
+
+def brute_members(gens, hi: int) -> str:
+    """'1' at index n exactly when 0 <= n <= hi is a sum of gens: a bit set
+    closed under adding each generator by doubling shifts, read as text."""
+    reach, mask = 1, (1 << (hi + 1)) - 1
+    for g in gens:
+        shift = g
+        while shift <= hi:
+            reach |= (reach << shift) & mask
+            shift *= 2
+    return format(reach, "b")[::-1].ljust(hi + 1, "0")
+
+
+def end_gaps(ms):
+    """Missing lengths of ms's progression from its least to its greatest
+    length, split low end / high end: the oracle of the end extents."""
+    count = len(ms.counts)
+    low_missing, high_missing = [], []
+    for idx, mult in enumerate(ms.counts):
+        if not mult:
+            (low_missing if idx < count / 2 else high_missing).append(ms.lengths[idx])
+    return low_missing, high_missing
+
+
+def oracle_extents(ms, delta: int) -> tuple[int, int]:
+    low_missing, high_missing = end_gaps(ms)
+    return (
+        (low_missing[-1] - ms.min_length) // delta + 1 if low_missing else 0,
+        (ms.max_length - high_missing[0]) // delta + 1 if high_missing else 0,
+    )
 
 
 @pytest.fixture
@@ -47,6 +78,28 @@ class TestConvergenceSweep:
         for target, n in zip((100, 1_000, 10_000, 100_000), grid):
             assert abs(n - target) <= 7
             length_multiset(S, n)  # does not raise: n is an element
+
+    def test_default_grid_matches_nearest_element_oracle(self):
+        """Least distance to each target, the lower element on a tie, on
+        random semigroups whose generators spread log-uniformly up to 2e5."""
+        rng = random.Random(24)
+        snapped_to_zero = ties = 0
+        for _ in range(220):
+            while True:
+                k = rng.randint(2, 4)
+                gens = {round(10 ** rng.uniform(0.3, math.log10(200_000))) for _ in range(k)}
+                if len(gens) == k and math.gcd(*gens) == 1:
+                    break
+            members = brute_members(gens, 100_000 + max(gens))
+            expected = set()
+            for target in (100, 1_000, 10_000, 100_000):
+                below, above = members.rfind("1", 0, target + 1), members.find("1", target)
+                expected.add(below if target - below <= above - target else above)
+                ties += target - below == above - target > 0
+            snapped_to_zero += 0 in expected
+            assert default_grid(make_semigroup(gens)) == sorted(expected), sorted(gens)
+        # the draw reaches both edge cases: a tie, and a target nearest to 0
+        assert ties and snapped_to_zero
 
     def test_rows_and_errors(self):
         S = make_semigroup([3, 5, 7])
@@ -144,12 +197,53 @@ class TestModeTheorem:
 class TestStructureTheorem:
     def test_mcnugget_132_gaps(self):
         S = make_semigroup([6, 9, 20])
-        low, high = end_gaps(length_multiset(S, 132))
+        ms = length_multiset(S, 132)
+        low, high = end_gaps(ms)
         assert low == [9, 10] and high == []
+        assert _end_extents(ms) == (3, 0)  # lengths 8, 9, 10
 
     def test_trivial_zero(self):
         S = make_semigroup([6, 9, 20])
-        assert end_gaps(length_multiset(S, 0)) == ([], [])
+        ms = length_multiset(S, 0)
+        assert end_gaps(ms) == ([], [])
+        assert _end_extents(ms) == (0, 0)
+
+    def test_extents_match_end_gaps_oracle(self):
+        """Every element of random windows over gcd-1 triples below 60, and
+        the report built from them; a window of fewer than 2 elements
+        raises."""
+        rng = random.Random(2024)
+        holdings = set()
+        windows = nonzero = 0
+        while windows < 220:
+            gens = tuple(sorted(rng.sample(range(2, 60), 3)))
+            if math.gcd(*gens) != 1:
+                continue
+            windows += 1
+            S = make_semigroup(gens)
+            n_lo = int(10 ** rng.uniform(0, 3.7)) - 5  # small starts hold gaps of S
+            n_hi = n_lo + rng.choice([0, 1, 2, 3, 5, 8, 20, 60])
+            members = brute_members(gens, max(n_hi, 0))
+            elements = [n for n in range(max(n_lo, 0), n_hi + 1) if members[n] == "1"]
+            holdings.add(min(len(elements), 3))
+            extents = []
+            for n in elements:
+                ms = length_multiset(S, n)
+                extents.append(oracle_extents(ms, S.delta))
+                assert _end_extents(ms) == extents[-1], (gens, n)
+            nonzero += any(map(any, extents))
+            if len(extents) < 2:
+                with pytest.raises(ValueError, match="needs at least 2"):
+                    verify_structure_theorem(S, n_lo, n_hi)
+                continue
+            half = len(extents) // 2
+            lows, highs = [e[0] for e in extents], [e[1] for e in extents]
+            report = verify_structure_theorem(S, n_lo, n_hi)
+            assert (report.checked, report.max_low_extent, report.max_high_extent) == (
+                len(elements), max(lows), max(highs)), (gens, n_lo, n_hi)
+            assert report.bounded == (max(lows[half:]) <= max(lows[:half])
+                                      and max(highs[half:]) <= max(highs[:half]))
+        assert holdings == {0, 1, 2, 3} and nonzero > 50
 
     @pytest.mark.parametrize("gens", [(6, 9, 20), (3, 5, 7), (7, 16, 25)])
     def test_windows_bounded(self, gens):

@@ -1,6 +1,7 @@
 """Module boundaries checked on the source: the JSON form of results lives
 in one module (`cli` alone imports json, and no module spells a `to_json`
-or `from_json` of its own), no package module, script or test file imports
+or `from_json` of its own), no package module catches NotInSemigroup (it
+asks `contains` instead), no package module, script or test file imports
 a name it does not use, every public function or method of the package has
 a caller in the package or the scripts (or is exported in `__all__`) apart
 from two names the benchmark calls, and the test oracles, which the
@@ -63,6 +64,19 @@ def _unused_imports(tree: ast.AST) -> list[str]:
 )
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_membership_is_asked_not_caught(path):
+    """One membership primitive: package code asks `contains` before it
+    counts, and no module catches NotInSemigroup to learn membership."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    caught = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for handler in ast.walk(tree) if isinstance(handler, ast.ExceptHandler) and handler.type
+        for node in ast.walk(handler.type) if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert "NotInSemigroup" not in caught
 
 
 def test_oracles_import_only_stdlib_and_package():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from factorlengths.cli import _semigroup_payload
+from factorlengths.constructions import find_sqrt_d_params, pythagorean_semigroup, sqrt_d_semigroup
 from factorlengths.semigroup import (
     InvalidGenerators,
     Semigroup,
@@ -18,6 +19,7 @@ from factorlengths.semigroup import (
 from oracles import (
     brute_length_counter,
     brute_minimal_trade,
+    primitive_triples,
     enumerate_factorizations,
     is_minimal,
     random_semigroup_3,
@@ -148,9 +150,15 @@ class TestSerialization:
         payload = _semigroup_payload(make_semigroup([6, 9, 20]))
         assert payload == {"gens": [6, 9, 20], "delta": 1, "trade_element": 126}
 
-    def test_many_generator_json(self):
-        payload = _semigroup_payload(make_semigroup([4, 5, 6, 7]))
-        assert payload == {"gens": [4, 5, 6, 7]}
+    def test_construction_payloads_carry_trade_constants(self):
+        """construct prints the payload of these two families only, and each
+        gives three generators, so every payload has the trade constants."""
+        semigroups = [pythagorean_semigroup(a, b, c) for a, b, c in primitive_triples(100) if b >= 3]
+        semigroups += [sqrt_d_semigroup(d, t) for d in (2, 3, 5, 7) for t in find_sqrt_d_params(d, 40)]
+        assert len(semigroups) > 20
+        for S in semigroups:
+            assert S.k == 3
+            assert _semigroup_payload(S).keys() == {"gens", "delta", "trade_element"}
 
     def test_round_trip(self):
         S = make_semigroup([7, 16, 25])
