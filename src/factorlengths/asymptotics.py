@@ -11,8 +11,8 @@ Everything is exact: rationals, or quadratic irrationals for the median.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import QuadNumber, quad_sqrt
 from .factorization import length_multiset
@@ -57,8 +57,7 @@ def asymptotic_median(S: Semigroup) -> QuadNumber:
     return QuadNumber(inv3 + c * w.a, c * w.b, w.m)
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
+class AsymptoticConstants(NamedTuple):
     F: Fraction
     mean_constant: Fraction
     median_constant: QuadNumber
@@ -76,8 +75,7 @@ def asymptotic_constants(S: Semigroup) -> AsymptoticConstants:
     )
 
 
-@dataclass(frozen=True)
-class ScaledSequence:
+class ScaledSequence(NamedTuple):
     """Exact length statistics at the distinguished elements k * scale.
 
     scale = delta * element * n1 * n2 * n3.  At n = k*scale the extremes,
@@ -134,8 +132,7 @@ def upper_envelope(seq: ScaledSequence, x: int | Fraction) -> Fraction:
     return Fraction(n1 * n2, t * (n2 - n1)) * (seq.max_len - x) + 1
 
 
-@dataclass(frozen=True)
-class TriangularModel:
+class TriangularModel(NamedTuple):
     """Triangular probability density on [0, 1] with peak (F, 2)."""
 
     peak: Fraction
@@ -170,8 +167,7 @@ def triangular_model(F: Fraction) -> TriangularModel:
     return TriangularModel(peak=F, mean=(1 + F) / 3, median=median)
 
 
-@dataclass(frozen=True)
-class NormalizedStep:
+class NormalizedStep(NamedTuple):
     """One histogram step after rescaling to [0, 1].
 
     position is the image of the length itself; midpoint is the center of
@@ -186,8 +182,7 @@ class NormalizedStep:
     at_peak: bool
 
 
-@dataclass(frozen=True)
-class NormalizedHistogram:
+class NormalizedHistogram(NamedTuple):
     steps: tuple[NormalizedStep, ...]
     step_width: Fraction
     fulcrum: Fraction
@@ -228,8 +223,7 @@ def normalized_histogram(S: Semigroup, k: int) -> NormalizedHistogram:
     )
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
+class EnvelopeReport(NamedTuple):
     """How the histogram at k*scale sits under its linear envelope.
 
     max_pointwise_gap is max(envelope - multiplicity) over lengths;

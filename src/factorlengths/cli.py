@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -38,17 +37,17 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _plain(value):
     """JSON form of a result: a Fraction as its string, a QuadNumber as
-    {a, b, m, approx}, a Semigroup as its generator list, a dataclass field
-    by field without its repr=False fields, a dict value by value, a tuple
-    or list as a list."""
+    {a, b, m, approx}, a Semigroup as its generator list, any other record
+    (a NamedTuple) field by field, a dict value by value, a tuple or list as
+    a list.  Records are tuples, so they are told apart by `_fields` first."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, QuadNumber):
         return {"a": str(value.a), "b": str(value.b), "m": value.m, "approx": value.approx_str()}
     if isinstance(value, Semigroup):
         return list(value.gens)
-    if dataclasses.is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value) if f.repr}
+    if hasattr(value, "_fields"):
+        return _plain(value._asdict())
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
     if isinstance(value, (tuple, list)):
@@ -184,7 +183,9 @@ def _cmd_verify(args) -> int:
     S = parse_semigroup(args.semigroup)
     if args.check == "mode":
         report = experiments.verify_mode_theorem(S, args.n_max)
-        payload = {**_plain(report), "residual_classes": len(report.residuals), "ok": report.ok}
+        fields = report._asdict()
+        residuals = fields.pop("residuals")  # only their number is printed
+        payload = {**_plain(fields), "residual_classes": len(residuals), "ok": report.ok}
         _emit(_json_text(payload), args.out)
         return 0 if report.ok else 1
     if args.check == "structure":
@@ -208,7 +209,9 @@ def _cmd_histo4(args) -> int:
         rows = factorization.histogram_rows(exploration.multiset)
         _emit(_csv_text(["length", "multiplicity"], rows), args.out)
     else:
-        fields, ms = _plain(exploration), exploration.multiset
+        fields = exploration._asdict()
+        ms = fields.pop("multiset")  # printed as its summary, not length by length
+        fields = _plain(fields)
         payload = {"semigroup": fields.pop("semigroup"), "n": fields.pop("n"),
                    "num_factorizations": ms.total, "min": ms.min_length, "max": ms.max_length,
                    **fields}

@@ -15,16 +15,14 @@ mean constant: 3*target must split into three distinct unit fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .exactnum import is_prime, squarefree_decompose
 from .semigroup import Semigroup, make_semigroup
 
 
-@dataclass(frozen=True)
-class ConstructionRejection:
+class ConstructionRejection(NamedTuple):
     """Parameter choice that does not produce a valid construction."""
 
     reason: str

@@ -12,9 +12,9 @@ the tests need lives with their oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -123,20 +123,17 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return root, core
 
 
-@dataclass(frozen=True)
-class QuadNumber:
+class QuadNumber(NamedTuple("QuadNumber", [("a", Fraction), ("b", Fraction), ("m", int)])):
     """Exact a + b*sqrt(m) with a, b rational and m a positive squarefree integer.
 
     Canonical form: the square part of m is folded into b, and a purely
     rational value always has b == 0 and m == 1, so equality is componentwise.
     """
 
-    a: Fraction
-    b: Fraction
-    m: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        a, b, m = Fraction(self.a), Fraction(self.b), int(self.m)
+    def __new__(cls, a: Fraction, b: Fraction, m: int = 1) -> QuadNumber:
+        a, b, m = Fraction(a), Fraction(b), int(m)
         if m < 1:
             raise ValueError(f"radicand {m} must be positive")
         if b == 0:
@@ -148,9 +145,13 @@ class QuadNumber:
         if m == 1 and b != 0:
             a += b
             b = Fraction(0)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "m", m)
+        return super().__new__(cls, a, b, m)
+
+    def _no_operator(self, other):
+        """No ordering or arithmetic: a tuple's order, + and * would be wrong."""
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _no_operator
 
     @property
     def is_rational(self) -> bool:

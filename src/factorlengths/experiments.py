@@ -11,10 +11,9 @@ carries its window and thresholds so a run is reproducible from its output.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .asymptotics import asymptotic_mean, asymptotic_median
 from .exactnum import QuadNumber
@@ -23,8 +22,7 @@ from .invariants import mean_length, median_length, mode
 from .semigroup import Semigroup, contains, trade_data
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """One sweep sample: exact ratios, and their errors against the
     asymptotic constants as decimals."""
 
@@ -35,8 +33,7 @@ class ConvergenceRow:
     median_err: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     semigroup: Semigroup
     mean_constant: Fraction
     median_constant: QuadNumber
@@ -45,14 +42,15 @@ class SweepResult:
 
 
 def default_grid(S: Semigroup) -> list[int]:
-    """The targets 10**2 .. 10**5, each snapped to the nearest element of S
-    (the lower one on a tie), ascending and without repeats.
+    """The targets 10**2 .. 10**5, each snapped to the nearest positive
+    element of S (the lower one on a tie), ascending and without repeats.
+    The element 0 is never chosen: the sweep skips it.
 
     Each search ends within n1 - 1 steps of its target, because some
     multiple of n1 lies less than n1 above it."""
     return sorted({
         next(cand for offset in count() for cand in (target - offset, target + offset)
-             if contains(S, cand))
+             if cand > 0 and contains(S, cand))
         for target in (100, 1_000, 10_000, 100_000)
     })
 
@@ -94,8 +92,7 @@ def convergence_sweep(S: Semigroup, n_points: Sequence[int]) -> SweepResult:
     )
 
 
-@dataclass(frozen=True)
-class ModeTheoremReport:
+class ModeTheoremReport(NamedTuple):
     """Exact check of the mode recurrence under one trade element.
 
     For every n in S up to n_max: the mode frequency grows by exactly 1 from
@@ -110,7 +107,7 @@ class ModeTheoremReport:
     n_max: int
     checked: int
     failures: tuple[tuple[int, str], ...]
-    residuals: dict[int, Fraction] = field(repr=False)
+    residuals: dict[int, Fraction]
 
     @property
     def ok(self) -> bool:
@@ -168,8 +165,7 @@ def _end_extents(ms: LengthMultiset) -> tuple[int, int]:
     return half - [*reversed(lower), 0].index(0), len(upper) - [*upper, 0].index(0)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Window check that length sets are progressions minus bounded end gaps.
 
     violations is always empty and keeps its place in the JSON report.
@@ -234,8 +230,7 @@ def verify_structure_theorem(
     )
 
 
-@dataclass(frozen=True)
-class PeriodProbe:
+class PeriodProbe(NamedTuple):
     period: int
     window: tuple[int, int]
     checked: int
@@ -243,8 +238,7 @@ class PeriodProbe:
     window_exhausted: bool
 
 
-@dataclass(frozen=True)
-class QuasilinearityVerdict:
+class QuasilinearityVerdict(NamedTuple):
     """Three-valued empirical verdict on eventual quasilinearity of the median.
 
     quasilinear: some tested period shows a constant median increment across
@@ -368,8 +362,7 @@ def probe_median_quasilinearity(
     )
 
 
-@dataclass(frozen=True)
-class HistogramExploration:
+class HistogramExploration(NamedTuple):
     """Histogram of one element of a many-generator semigroup, with the
     lengths where the discrete second difference changes sign (curvature
     flips happen between adjacent grid lengths, so both ends of each flip
@@ -377,7 +370,7 @@ class HistogramExploration:
 
     semigroup: Semigroup
     n: int
-    multiset: LengthMultiset = field(repr=False)
+    multiset: LengthMultiset
     grid_step: int
     inflection_candidates: tuple[int, ...]
     peak_lengths: tuple[int, ...]

@@ -16,27 +16,25 @@ forms replaced is kept in ``tests/test_factorization.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, cycle, islice
 from operator import add, sub
+from typing import NamedTuple
 
 from .semigroup import NotInSemigroup, Semigroup
 
 
-@dataclass(frozen=True)
-class LengthMultiset:
+class LengthMultiset(
+    NamedTuple("LengthMultiset", [("lengths", range), ("counts", list[int]), ("total", int)])
+):
     """Multiset of factorization lengths over one progression.
 
     ``lengths`` runs ascending from the least to the greatest length in
     steps of the semigroup's delta, and ``counts[i]`` is the multiplicity of
     ``lengths[i]``.  Both end counts are positive; a zero marks a length of
-    the progression that no factorization has.
+    the progression that no factorization has.  Instances keep a __dict__
+    for the cached cumulative counts.
     """
-
-    lengths: range
-    counts: list[int]
-    total: int
 
     @property
     def min_length(self) -> int:

@@ -9,8 +9,8 @@ is the average of the two middle order statistics.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .factorization import LengthMultiset, length_multiset
 from .semigroup import Semigroup
@@ -20,8 +20,7 @@ class EmptyMultisetError(ValueError):
     """Statistic of an empty length multiset."""
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     n: int
     min: int
     max: int

@@ -11,8 +11,8 @@ pairwise generator differences and satisfies delta * element = n2 * (n3 - n1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class InvalidGenerators(ValueError):
@@ -23,8 +23,7 @@ class NotInSemigroup(ValueError):
     """Requested element has no factorization in the semigroup."""
 
 
-@dataclass(frozen=True)
-class TradeData:
+class TradeData(NamedTuple):
     """Minimal length-preserving trade (low, 0, high | 0, mid, 0) of a
     3-generator semigroup: low + high = mid and
     low*n1 + high*n3 = mid*n2 = element."""
@@ -36,12 +35,12 @@ class TradeData:
     delta: int
 
 
-@dataclass(frozen=True)
-class Semigroup:
-    gens: tuple[int, ...]
+class Semigroup(NamedTuple("Semigroup", [("gens", tuple[int, ...])])):
+    """Sorted generators, validated on construction; equal and hashed by
+    value.  Instances keep a __dict__ for the cached Apery set."""
 
-    def __post_init__(self) -> None:
-        gens = tuple(self.gens)
+    def __new__(cls, gens: tuple[int, ...]) -> Semigroup:
+        gens = tuple(gens)
         if len(gens) < 2:
             raise InvalidGenerators(f"need at least 2 generators, got {gens}")
         if any(not isinstance(g, int) or g <= 0 for g in gens):
@@ -51,7 +50,7 @@ class Semigroup:
         gens = tuple(sorted(gens))
         if math.gcd(*gens) != 1:
             raise InvalidGenerators(f"gcd{gens} = {math.gcd(*gens)} != 1")
-        object.__setattr__(self, "gens", gens)
+        return super().__new__(cls, gens)
 
     @property
     def k(self) -> int:

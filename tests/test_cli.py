@@ -10,11 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from factorlengths import cli
+from factorlengths import asymptotics, cli, constructions, experiments, invariants, semigroup
 from factorlengths.asymptotics import asymptotic_median
 from factorlengths.cli import main
 from factorlengths.exactnum import QuadNumber
 from factorlengths.experiments import ModeTheoremReport
+from factorlengths.factorization import LengthMultiset
 from factorlengths.semigroup import make_semigroup
 
 
@@ -181,6 +182,13 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].startswith("105,")
 
+    def test_default_grid_keeps_four_rows_for_wide_generators(self, capsys):
+        # the element nearest to 100 is 0; the sweep takes 250 instead
+        code, out, _ = run(capsys, "sweep", "-s", "250,251,253")
+        lines = out.strip().splitlines()
+        assert code == 0
+        assert [line.split(",")[0] for line in lines[1:]] == ["250", "1000", "10000", "100000"]
+
     def test_jobs_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["sweep", "-s", "3,5,7", "--points", "105,210", "--jobs", "2"])
@@ -193,6 +201,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "mode", "-s", "3,5,7", "--n-max", "200")
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    def test_mode_json_counts_residuals_without_listing_them(self, capsys):
+        code, out, _ = run(capsys, "verify", "mode", "-s", "3,5,7", "--n-max", "200")
+        assert code == 0
+        assert list(json.loads(out)) == ["semigroup", "period", "mode_shift", "n_max", "checked",
+                                         "failures", "residual_classes", "ok"]
 
     def test_structure_ok(self, capsys):
         code, out, _ = run(capsys, "verify", "structure", "-s", "3,5,7")
@@ -294,10 +308,78 @@ class TestHisto4:
         assert 280 in payload["inflection_candidates"]
         assert 336 in payload["inflection_candidates"]
 
+    def test_json_summarizes_the_multiset(self, capsys):
+        code, out, _ = run(capsys, "histo4", "-s", "4,5,6,7", "-n", "240")
+        assert code == 0
+        assert list(json.loads(out)) == ["semigroup", "n", "num_factorizations", "min", "max",
+                                         "grid_step", "inflection_candidates", "peak_lengths",
+                                         "peak_multiplicity"]
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "histo4", "-s", "4,5,6,7", "-n", "240", "--csv")
         lines = out.strip().splitlines()
         assert code == 0 and lines[0] == "length,multiplicity"
+
+
+# Every plain result record and its fields, in order: the JSON keys.
+RECORD_FIELDS = {
+    semigroup.TradeData: ("low", "mid", "high", "element", "delta"),
+    invariants.InvariantReport: ("n", "min", "max", "mean", "median", "mode_lengths",
+                                 "mode_freq", "num_factorizations"),
+    asymptotics.AsymptoticConstants: ("F", "mean_constant", "median_constant", "harmonic_case"),
+    asymptotics.ScaledSequence: ("k", "scale", "min_len", "max_len", "mode_len", "num_trades",
+                                 "semigroup", "trade"),
+    asymptotics.TriangularModel: ("peak", "mean", "median"),
+    asymptotics.NormalizedStep: ("length", "position", "midpoint", "density", "at_peak"),
+    asymptotics.NormalizedHistogram: ("steps", "step_width", "fulcrum"),
+    asymptotics.EnvelopeReport: ("k", "pointwise_ok", "max_pointwise_gap", "max_step_gap"),
+    experiments.ConvergenceRow: ("n", "mean_ratio", "median_ratio", "mean_err", "median_err"),
+    experiments.SweepResult: ("semigroup", "mean_constant", "median_constant", "rows", "skipped"),
+    experiments.ModeTheoremReport: ("semigroup", "period", "mode_shift", "n_max", "checked",
+                                    "failures", "residuals"),
+    experiments.StructureReport: ("semigroup", "delta", "window", "checked", "max_low_extent",
+                                  "max_high_extent", "bounded", "violations"),
+    experiments.PeriodProbe: ("period", "window", "checked", "witness", "window_exhausted"),
+    experiments.QuasilinearityVerdict: ("semigroup", "verdict", "period_tested", "window",
+                                        "witness", "start_threshold", "max_checks", "probes"),
+    experiments.HistogramExploration: ("semigroup", "n", "multiset", "grid_step",
+                                       "inflection_candidates", "peak_lengths",
+                                       "peak_multiplicity"),
+    constructions.ConstructionRejection: ("reason", "detail", "floor_value"),
+}
+
+
+class TestRecords:
+    """Result records are NamedTuples: built by keyword, equal by value,
+    closed to field assignment, and written by `_plain` as JSON objects."""
+
+    def test_every_plain_record_is_listed(self):
+        found = {
+            value for module in (semigroup, invariants, asymptotics, experiments, constructions)
+            for value in vars(module).values()
+            if isinstance(value, type) and hasattr(value, "_fields")
+            and value.__module__ == module.__name__
+        }
+        assert found - {semigroup.Semigroup} == set(RECORD_FIELDS)
+
+    @pytest.mark.parametrize("record_type", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+    def test_built_by_keyword(self, record_type):
+        names = RECORD_FIELDS[record_type]
+        assert record_type._fields == names
+        record = record_type(**{name: index for index, name in enumerate(names)})
+        assert [getattr(record, name) for name in names] == list(range(len(names)))
+        assert record == record_type(*range(len(names)))
+        with pytest.raises(AttributeError):
+            setattr(record, names[0], -1)
+        assert cli._plain(record) == {name: index for index, name in enumerate(names)}
+
+    def test_length_multiset(self):
+        ms = LengthMultiset(lengths=range(3, 7), counts=[1, 0, 2, 1], total=4)
+        assert ms == LengthMultiset(range(3, 7), [1, 0, 2, 1], 4)
+        assert ms.cumulative == [1, 1, 3, 4]
+        with pytest.raises(AttributeError):
+            ms.total = 5
+        assert ms.total == 4
 
 
 class TestOutputPlumbing:

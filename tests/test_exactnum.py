@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: rationals, quadratic numbers, primality."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -139,6 +140,30 @@ class TestQuadNumber:
     def test_rational_flag_requires_unit_radicand(self):
         q = QuadNumber(Fraction(1), Fraction(0), 5)
         assert q.m == 1 and q.is_rational
+
+    def test_equal_and_hashed_by_value(self):
+        q, r = QuadNumber(0, 1, 8), QuadNumber(0, 2, 2)
+        assert q == r and hash(q) == hash(r)
+        assert QuadNumber(a=0, b=2, m=2) == q
+
+    def test_fields_refuse_assignment(self):
+        q = quad_sqrt(2)
+        for name in ("a", "b", "m"):
+            with pytest.raises(AttributeError):
+                setattr(q, name, 1)
+        assert q == QuadNumber(0, 1, 2)
+
+    def test_no_tuple_ordering_or_arithmetic(self):
+        """A QuadNumber is a tuple underneath; a tuple's order, + and * would
+        give wrong answers, so they stay refused."""
+        sqrt2, sqrt3 = quad_sqrt(2), quad_sqrt(3)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.add, operator.mul):
+            with pytest.raises(TypeError):
+                op(sqrt2, sqrt3)
+        with pytest.raises(TypeError):
+            sqrt2 * 2
+        with pytest.raises(TypeError):
+            2 * sqrt2
 
     def test_sign_and_ordering_same_field(self):
         small = QuadNumber(Fraction(-1), Fraction(1), 2)  # sqrt(2) - 1 > 0

@@ -80,10 +80,11 @@ class TestConvergenceSweep:
             length_multiset(S, n)  # does not raise: n is an element
 
     def test_default_grid_matches_nearest_element_oracle(self):
-        """Least distance to each target, the lower element on a tie, on
-        random semigroups whose generators spread log-uniformly up to 2e5."""
+        """Least distance to each target among the positive elements, the
+        lower element on a tie, on random semigroups whose generators spread
+        log-uniformly up to 2e5."""
         rng = random.Random(24)
-        snapped_to_zero = ties = 0
+        nearest_zero = ties = 0
         for _ in range(220):
             while True:
                 k = rng.randint(2, 4)
@@ -91,15 +92,33 @@ class TestConvergenceSweep:
                 if len(gens) == k and math.gcd(*gens) == 1:
                     break
             members = brute_members(gens, 100_000 + max(gens))
+            grid = default_grid(make_semigroup(gens))
             expected = set()
             for target in (100, 1_000, 10_000, 100_000):
-                below, above = members.rfind("1", 0, target + 1), members.find("1", target)
-                expected.add(below if target - below <= above - target else above)
-                ties += target - below == above - target > 0
-            snapped_to_zero += 0 in expected
-            assert default_grid(make_semigroup(gens)) == sorted(expected), sorted(gens)
+                below, above = members.rfind("1", 1, target + 1), members.find("1", target)
+                if below > 0 and target - below <= above - target:
+                    expected.add(below)
+                else:
+                    expected.add(above)
+                ties += below > 0 and target - below == above - target > 0
+                if below < 0 and target <= above - target:
+                    # 0 is the nearest element; the least positive one stands in
+                    nearest_zero += 1
+                    assert members.find("1", 1) in grid, sorted(gens)
+            assert grid == sorted(expected), sorted(gens)
         # the draw reaches both edge cases: a tie, and a target nearest to 0
-        assert ties and snapped_to_zero
+        assert ties and nearest_zero
+
+    @pytest.mark.parametrize("gens, grid", [
+        ((250, 251, 253), [250, 1_000, 10_000, 100_000]),
+        ((2000, 2001, 2003), [2000, 10_000, 100_000]),
+    ])
+    def test_default_grid_skips_zero(self, gens, grid):
+        """Generators of 200 or more put 0 nearest to the target 100; the
+        grid holds the least positive element instead, which the sweep keeps."""
+        S = make_semigroup(gens)
+        assert default_grid(S) == grid
+        assert [row.n for row in convergence_sweep(S, default_grid(S)).rows] == grid
 
     def test_rows_and_errors(self):
         S = make_semigroup([3, 5, 7])

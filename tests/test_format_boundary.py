@@ -4,10 +4,13 @@ or `from_json` of its own), no package module catches NotInSemigroup (it
 asks `contains` instead), no package module, script or test file imports
 a name it does not use, every public function or method of the package has
 a caller in the package or the scripts (or is exported in `__all__`) apart
-from two names the benchmark calls, and the test oracles, which the
-benchmark loads too, import only the standard library and `QuadNumber`."""
+from two names the benchmark calls, the test oracles, which the
+benchmark loads too, import only the standard library and `QuadNumber`,
+and a fresh import of the package loads neither `dataclasses` nor
+`inspect`."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -147,3 +150,13 @@ def test_every_public_function_has_a_caller():
         if node.name not in used and name not in exported
     )
     assert uncalled == sorted(NO_PACKAGE_CALLER)
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    """Records are NamedTuples: `dataclasses`, the `inspect` it pulls in and
+    the record definitions cost about a fifth of a one-shot command's CPU."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import factorlengths, factorlengths.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

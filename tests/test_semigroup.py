@@ -64,6 +64,21 @@ class TestValidation:
         assert make_semigroup([3, 5, 7]).delta == 2
         assert make_semigroup([7, 16, 25]).delta == 9
 
+    def test_equal_and_hashed_by_value(self):
+        S, T = Semigroup((9, 6, 20)), Semigroup((6, 9, 20))
+        assert S == T and hash(S) == hash(T)
+        assert {S: "mcnugget"}[T] == "mcnugget"
+        assert Semigroup(gens=(20, 9, 6)) == S
+
+    def test_fields_refuse_assignment(self):
+        S = make_semigroup([6, 9, 20])
+        with pytest.raises(AttributeError):
+            S.gens = (3, 5, 7)
+        trade = trade_data(S)
+        with pytest.raises(AttributeError):
+            trade.element = 0
+        assert S.gens == (6, 9, 20) and trade.element == 126
+
     def test_is_minimal(self):
         assert is_minimal((6, 9, 20))
         assert is_minimal((3, 5, 7))
