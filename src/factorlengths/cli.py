@@ -4,35 +4,39 @@ JSON goes to standard output for report-style subcommands; the data-export
 subcommands (histogram, model, sweep) emit their documented CSV formats.
 Exact values are serialized as fraction strings; decimal columns exist only
 for plotting.  This module alone owns the JSON form of results: `_plain`
-turns every report into it.  Exit codes: 0 success, 1 a verification
-reported a failure, 2 usage or validation errors.
+turns every report into it.  A subcommand returns its exit code and its
+output as strings for `main` to write, CSV in chunks of CHUNK_ROWS rows.
+Exit codes: 0 success, 1 a verification reported a failure, 2 usage or
+validation errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
+from typing import Iterable
 
 from . import asymptotics, constructions, experiments, factorization, invariants
 from .exactnum import QuadNumber
 from .semigroup import Semigroup, parse_semigroup, trade_data
+
+CHUNK_ROWS = 65536  # CSV rows formatted into one string before it is written
 
 
 def _decimal(x) -> str:
     return format(float(x), ".12g")
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _plain(value):
@@ -59,45 +63,39 @@ def _json_text(payload) -> str:
     return json.dumps(_plain(payload), indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_chunks(header: str, line: str, rows):
+    """The header line, then `line % row` for every row, CHUNK_ROWS rows to
+    a string.  No field holds a comma, quote or newline, so none is quoted."""
+    yield header
+    rows = iter(rows)
+    while chunk := "".join(map(line.__mod__, islice(rows, CHUNK_ROWS))):
+        yield chunk
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> tuple[int, Iterable[str]]:
     S = parse_semigroup(args.semigroup)
-    report = invariants.invariant_report(S, args.n)
-    _emit(_json_text(report), args.out)
-    return 0
+    return 0, [_json_text(invariants.invariant_report(S, args.n))]
 
 
-def _cmd_histogram(args) -> int:
+def _cmd_histogram(args) -> tuple[int, Iterable[str]]:
     S = parse_semigroup(args.semigroup)
     ms = factorization.length_multiset(S, args.n)
     rows = factorization.histogram_rows(ms, include_zeros=args.include_zeros)
-    _emit(_csv_text(["length", "multiplicity"], rows), args.out)
-    return 0
+    return 0, _csv_chunks("length,multiplicity\n", "%d,%d\n", rows)
 
 
-def _cmd_asymptotics(args) -> int:
+def _cmd_asymptotics(args) -> tuple[int, Iterable[str]]:
     S = parse_semigroup(args.semigroup)
-    _emit(_json_text(asymptotics.asymptotic_constants(S)), args.out)
-    return 0
+    return 0, [_json_text(asymptotics.asymptotic_constants(S))]
 
 
-def _cmd_model(args) -> int:
+def _cmd_model(args) -> tuple[int, Iterable[str]]:
     S = parse_semigroup(args.semigroup)
     hist = asymptotics.normalized_histogram(S, args.k)
     model = asymptotics.triangular_model(hist.fulcrum)
-    rows = [
-        (_decimal(step.midpoint), _decimal(step.density), _decimal(model.density(step.midpoint)))
-        for step in hist.steps
-    ]
-    _emit(_csv_text(["x", "empirical", "model"], rows), args.out)
-    return 0
+    rows = ((_decimal(s.midpoint), _decimal(s.density), _decimal(model.density(s.midpoint)))
+            for s in hist.steps)
+    return 0, _csv_chunks("x,empirical,model\n", "%s,%s,%s\n", rows)
 
 
 def _semigroup_payload(S: Semigroup) -> dict:
@@ -112,7 +110,7 @@ def _construction_payload(S: Semigroup) -> dict:
     return {"semigroup": _semigroup_payload(S), "constants": {**_plain(constants), **rational}}
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> tuple[int, Iterable[str]]:
     if args.family == "pythagorean":
         S = constructions.pythagorean_semigroup(args.a, args.b, args.c)
         payload = _construction_payload(S)
@@ -133,11 +131,10 @@ def _cmd_construct(args) -> int:
             payload = {"rejected": True, **_plain(result)}
         else:
             payload = _construction_payload(result)
-    _emit(_json_text(payload), args.out)
-    return 0
+    return 0, [_json_text(payload)]
 
 
-def _cmd_egyptian(args) -> int:
+def _cmd_egyptian(args) -> tuple[int, Iterable[str]]:
     try:
         target = Fraction(args.target)
     except ZeroDivisionError:
@@ -152,8 +149,7 @@ def _cmd_egyptian(args) -> int:
             "max_terms": args.terms,
             "decomposition": decomposition or None,
         }
-    _emit(_json_text(payload), args.out)
-    return 0
+    return 0, [_json_text(payload)]
 
 
 def _point(item: str) -> int:
@@ -163,60 +159,51 @@ def _point(item: str) -> int:
         raise ValueError(f"--points item {item!r} is not an integer") from None
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[int, Iterable[str]]:
     S = parse_semigroup(args.semigroup)
     if args.points is not None:
         points = [_point(item) for item in args.points.split(",")]
     else:
         points = experiments.default_grid(S)
     result = experiments.convergence_sweep(S, points)
-    header = ["n", "mean_ratio", "median_ratio", "mean_err", "median_err"]
-    rows = [
-        (r.n, str(r.mean_ratio), str(r.median_ratio), _decimal(r.mean_err), _decimal(r.median_err))
-        for r in result.rows
-    ]
-    _emit(_csv_text(header, rows), args.out)
-    return 0
+    header = "n,mean_ratio,median_ratio,mean_err,median_err\n"
+    rows = ((r.n, r.mean_ratio, r.median_ratio, _decimal(r.mean_err), _decimal(r.median_err))
+            for r in result.rows)
+    return 0, _csv_chunks(header, "%d,%s,%s,%s,%s\n", rows)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, Iterable[str]]:
     S = parse_semigroup(args.semigroup)
     if args.check == "mode":
         report = experiments.verify_mode_theorem(S, args.n_max)
         fields = report._asdict()
         residuals = fields.pop("residuals")  # only their number is printed
         payload = {**_plain(fields), "residual_classes": len(residuals), "ok": report.ok}
-        _emit(_json_text(payload), args.out)
-        return 0 if report.ok else 1
+        return (0 if report.ok else 1), [_json_text(payload)]
     if args.check == "structure":
         report = experiments.verify_structure_theorem(S, args.lo, args.hi)
-        _emit(_json_text({**_plain(report), "ok": report.ok}), args.out)
-        return 0 if report.ok else 1
+        return (0 if report.ok else 1), [_json_text({**_plain(report), "ok": report.ok})]
     verdict = experiments.probe_median_quasilinearity(
         S,
         periods=[args.period] if args.period is not None else None,
         start=args.start,
         max_checks=args.max_checks,
     )
-    _emit(_json_text(verdict), args.out)
-    return 0
+    return 0, [_json_text(verdict)]
 
 
-def _cmd_histo4(args) -> int:
+def _cmd_histo4(args) -> tuple[int, Iterable[str]]:
     S = parse_semigroup(args.semigroup)
     exploration = experiments.multi_generator_histogram(S, args.n)
     if args.csv:
-        rows = factorization.histogram_rows(exploration.multiset)
-        _emit(_csv_text(["length", "multiplicity"], rows), args.out)
-    else:
-        fields = exploration._asdict()
-        ms = fields.pop("multiset")  # printed as its summary, not length by length
-        fields = _plain(fields)
-        payload = {"semigroup": fields.pop("semigroup"), "n": fields.pop("n"),
-                   "num_factorizations": ms.total, "min": ms.min_length, "max": ms.max_length,
-                   **fields}
-        _emit(_json_text(payload), args.out)
-    return 0
+        return 0, _csv_chunks("length,multiplicity\n", "%d,%d\n", exploration.multiset.items())
+    fields = exploration._asdict()
+    ms = fields.pop("multiset")  # printed as its summary, not length by length
+    fields = _plain(fields)
+    payload = {"semigroup": fields.pop("semigroup"), "n": fields.pop("n"),
+               "num_factorizations": ms.total, "min": ms.min_length, "max": ms.max_length,
+               **fields}
+    return 0, [_json_text(payload)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +295,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, chunks = args.func(args)
+        _emit(chunks, args.out)
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -72,8 +72,8 @@ def convergence_sweep(S: Semigroup, n_points: Sequence[int]) -> SweepResult:
             skipped.append(n)
             continue
         ms = length_multiset(S, n)
-        mean_ratio = mean_length(ms) / n
-        median_ratio = median_length(ms) / n
+        mean_ratio, median_ratio = mean_length(ms) / n, median_length(ms) / n
+        del ms  # so the next point's counts are not built beside these
         rows.append(
             ConvergenceRow(
                 n=n,

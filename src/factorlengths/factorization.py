@@ -16,8 +16,7 @@ forms replaced is kept in ``tests/test_factorization.py``.
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from itertools import accumulate, compress, cycle, islice
+from itertools import accumulate, chain, compress, cycle, islice, repeat
 from operator import add, sub
 from typing import NamedTuple
 
@@ -32,9 +31,11 @@ class LengthMultiset(
     ``lengths`` runs ascending from the least to the greatest length in
     steps of the semigroup's delta, and ``counts[i]`` is the multiplicity of
     ``lengths[i]``.  Both end counts are positive; a zero marks a length of
-    the progression that no factorization has.  Instances keep a __dict__
-    for the cached cumulative counts.
+    the progression that no factorization has.  Instances hold nothing
+    beyond the three fields: no __dict__ and no cached running sums.
     """
+
+    __slots__ = ()
 
     @property
     def min_length(self) -> int:
@@ -43,11 +44,6 @@ class LengthMultiset(
     @property
     def max_length(self) -> int:
         return self.lengths[-1]
-
-    @cached_property
-    def cumulative(self) -> list[int]:
-        """cumulative[i] = counts[0] + ... + counts[i]."""
-        return list(accumulate(self.counts))
 
     @property
     def entries(self) -> dict[int, int]:
@@ -173,14 +169,14 @@ def length_multiset(S: Semigroup, n: int) -> LengthMultiset:
     )
 
 
-def histogram_rows(ms: LengthMultiset, include_zeros: bool = False) -> list[tuple[int, int]]:
-    """(length, multiplicity) rows sorted ascending.
+def histogram_rows(ms: LengthMultiset, include_zeros: bool = False):
+    """(length, multiplicity) rows ascending, made one at a time.
 
     With include_zeros, every integer length between the extremes appears,
     which makes the zero pattern of the multiplicity function visible.
     """
     if include_zeros:
-        every = [0] * (ms.max_length - ms.min_length + 1)
-        every[::ms.lengths.step] = ms.counts
-        return list(zip(range(ms.min_length, ms.max_length + 1), every))
-    return list(ms.items())
+        # each count is followed by the step - 1 zeros of the lengths it skips
+        every = chain.from_iterable(zip(ms.counts, *[repeat(0)] * (ms.lengths.step - 1)))
+        return zip(range(ms.min_length, ms.max_length + 1), every)
+    return ms.items()

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .factorization import LengthMultiset, length_multiset
 from .semigroup import Semigroup
+
+BLOCK = 4096  # counts per slice that median_length sums at once
 
 
 class EmptyMultisetError(ValueError):
@@ -40,20 +43,32 @@ def mean_length(ms: LengthMultiset) -> Fraction:
     """Average length, counted with multiplicity."""
     _require_nonempty(ms)
     # by parts: lengths[i] = max_length - step*(N-1-i), and summed with
-    # multiplicity, N-1-i gives sum(cumulative[:-1]) = sum(cumulative) - total
+    # multiplicity, N-1-i gives the sum of every running sum but the last
     total = ms.total
-    weighted = ms.max_length * total - ms.lengths.step * (sum(ms.cumulative) - total)
+    weighted = ms.max_length * total - ms.lengths.step * (sum(accumulate(ms.counts)) - total)
     return Fraction(weighted, total)
 
 
 def median_length(ms: LengthMultiset) -> Fraction:
     """Median length: middle order statistic, or the average of the two
-    middle ones when the total is even."""
+    middle ones when the total is even.  Rank r sits at the least index
+    whose running sum of counts reaches r; whole blocks are passed by their
+    sums, so only one block's running sums are ever listed."""
     _require_nonempty(ms)
-    total, seen = ms.total, ms.cumulative
-    lower = ms.lengths[bisect_left(seen, (total + 1) // 2)]
-    upper = ms.lengths[bisect_left(seen, total // 2 + 1)]
-    return Fraction(lower + upper, 2)
+    counts, total = ms.counts, ms.total
+    ranks = ((total + 1) // 2, total // 2 + 1)
+    indices, seen = [], 0
+    for start in range(0, len(counts), BLOCK):
+        block = counts[start:start + BLOCK]
+        reach = seen + sum(block)
+        if reach >= ranks[len(indices)]:
+            within = list(accumulate(block))
+            indices += [start + bisect_left(within, rank - seen)
+                        for rank in ranks[len(indices):] if rank <= reach]
+            if len(indices) == 2:
+                break
+        seen = reach
+    return Fraction(ms.lengths[indices[0]] + ms.lengths[indices[1]], 2)
 
 
 def mode(ms: LengthMultiset) -> tuple[tuple[int, ...], int]:

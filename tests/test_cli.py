@@ -376,7 +376,9 @@ class TestRecords:
     def test_length_multiset(self):
         ms = LengthMultiset(lengths=range(3, 7), counts=[1, 0, 2, 1], total=4)
         assert ms == LengthMultiset(range(3, 7), [1, 0, 2, 1], 4)
-        assert ms.cumulative == [1, 1, 3, 4]
+        assert invariants.median_length(ms) == 5
+        assert invariants.mean_length(ms) == Fraction(19, 4)
+        assert not hasattr(ms, "__dict__")
         with pytest.raises(AttributeError):
             ms.total = 5
         assert ms.total == 4
@@ -461,6 +463,13 @@ GOLDEN_DIGESTS = [
     # an empty range below every nonzero element still checks n = 0
     ("verify mode -s 6,9,20 --n-max 0",
      "2518d653ec2a5714c70ad2eb45fbf755987406dae6078c72aaba705bbf983302"),
+    # CSV rows without zeros, with zeros at delta 9, and from histo4
+    ("histogram -s 6,9,20 -n 100000",
+     "5d977e4dc5a98d7821b44efa5d05360b501cecbdde2e8fee6715812a03a70a2f"),
+    ("histogram -s 7,16,25 -n 20000 --include-zeros",
+     "bff318af0666dceaec344da637726735c51db4a81acff903e7dd1151b6355165"),
+    ("histo4 -s 4,5,6,7 -n 240 --csv",
+     "bc1a933d72a0dbfc92860b1cd2615e5268897ee8ef3036e65166a5396dbd607e"),
 ]
 
 
@@ -473,6 +482,16 @@ class TestGoldenBytes:
         code, out, err = run(capsys, *argv.split())
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_out_file_digest(self, capsys, tmp_path):
+        # 116,660 rows: more than one chunk of cli.CHUNK_ROWS rows
+        path = tmp_path / "histogram.csv"
+        code, out, err = run(capsys, "histogram", "-s", "6,9,20", "-n", "1000000", "--out", str(path))
+        assert code == 0 and out == "", err
+        assert path.read_text().count("\n") > cli.CHUNK_ROWS + 1
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "d2945a08ac120dde157a7998b6e0b820dc069fcb93fdab84987fba4855de3b8c"
+        )
 
     def test_failed_verification_digest(self, capsys):
         # 50..60 are 11 elements; 60 = 3*20 misses lengths 4, 5 and 6, a low

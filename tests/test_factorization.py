@@ -236,16 +236,27 @@ class TestExtremes:
 class TestHistogramRows:
     def test_rows_sorted_no_zeros(self):
         ms = length_multiset(make_semigroup([6, 9, 20]), 132)
-        rows = histogram_rows(ms)
+        rows = list(histogram_rows(ms))
         assert rows[0] == (8, 1) and rows[-1] == (22, 1)
         assert (9, 0) not in rows
         assert [r[0] for r in rows] == sorted(r[0] for r in rows)
 
     def test_include_zeros(self):
         ms = length_multiset(make_semigroup([6, 9, 20]), 132)
-        rows = histogram_rows(ms, include_zeros=True)
+        rows = list(histogram_rows(ms, include_zeros=True))
         assert len(rows) == 15
         assert (9, 0) in rows and (10, 0) in rows
+
+    @pytest.mark.parametrize("gens, n", [((7, 16, 25), 20000), ((10, 13, 16), 301),
+                                         ((3, 5, 7), 630), ((3, 5, 7), 0)])
+    def test_include_zeros_fills_every_skipped_length(self, gens, n):
+        """Against a list of every length between the extremes, zeros
+        included, with the counts placed step apart."""
+        ms = length_multiset(make_semigroup(list(gens)), n)
+        every = [0] * (ms.max_length - ms.min_length + 1)
+        every[::ms.lengths.step] = ms.counts
+        expected = list(zip(range(ms.min_length, ms.max_length + 1), every))
+        assert list(histogram_rows(ms, include_zeros=True)) == expected
 
 
 @settings(max_examples=40, deadline=None)
