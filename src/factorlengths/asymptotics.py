@@ -5,14 +5,16 @@ triangular density on [0, 1] whose peak sits at the fulcrum constant
 F = n1*(n3-n2) / (n2*(n3-n1)).  This module evaluates the exact limits of
 mean/n and median/n, the distinguished scale at which the histogram is
 cleanest, the piecewise-linear upper envelope of the multiplicity function,
-and the normalized histogram used to compare data against the model.
+and the rows that compare the rescaled histogram with the model.
 Everything is exact: rationals, or quadratic irrationals for the median.
+The one exception is those rows, floats that each round a ratio of exact
+integers once, since they are only ever printed as decimals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .exactnum import QuadNumber, quad_sqrt
 from .factorization import length_multiset
@@ -139,18 +141,6 @@ class TriangularModel(NamedTuple):
     mean: Fraction
     median: QuadNumber
 
-    def density(self, x: Fraction) -> Fraction:
-        # x = p/q and F = a/b: compare and build on the integer terms
-        p, q = x.numerator, x.denominator
-        a, b = self.peak.numerator, self.peak.denominator
-        if not 0 <= p <= q:
-            raise ValueError(f"{x} outside [0, 1]")
-        if p * b == a * q:
-            return Fraction(2)
-        if p * b < a * q:
-            return Fraction(2 * p * b, q * a)
-        return Fraction(2 * (q - p) * b, q * (b - a))
-
 
 def triangular_model(F: Fraction) -> TriangularModel:
     """Triangular density with peak at F: mean (1+F)/3, median
@@ -167,60 +157,39 @@ def triangular_model(F: Fraction) -> TriangularModel:
     return TriangularModel(peak=F, mean=(1 + F) / 3, median=median)
 
 
-class NormalizedStep(NamedTuple):
-    """One histogram step after rescaling to [0, 1].
-
-    position is the image of the length itself; midpoint is the center of
-    the step's interval (steps left of the peak extend right of their
-    length, steps right of it extend left, the peak step is the point F).
-    """
-
-    length: int
-    position: Fraction
-    midpoint: Fraction
-    density: Fraction
-    at_peak: bool
-
-
-class NormalizedHistogram(NamedTuple):
-    steps: tuple[NormalizedStep, ...]
-    step_width: Fraction
-    fulcrum: Fraction
-
-
-def normalized_histogram(S: Semigroup, k: int) -> NormalizedHistogram:
-    """Length histogram of k*scale mapped onto [0, 1] with unit mass.
+def model_rows(S: Semigroup, k: int) -> Iterator[tuple[float, float, float]]:
+    """Length histogram of k*scale on [0, 1] beside the triangular model:
+    one (x, empirical, model) row per length, each value rounded once.
 
     Lengths map through x -> (x - min_len) / (max_len - min_len) and
     multiplicities are divided by delta*|Z| / (max_len - min_len), so the
-    result is a step density whose Riemann sum is exactly 1 and whose peak
-    step sits at the fulcrum constant.
+    steps have unit mass and the peak step sits at the fulcrum.  x is the
+    midpoint of the step's interval: steps left of the peak extend right of
+    their length, steps right of it extend left, the peak step is the point
+    F.  Every value is a ratio of integers, and int / int is correctly
+    rounded, so each equals float() of its exact Fraction.  Validation and
+    the multiset come first; only the rows are produced lazily.
     """
     seq = scaled_sequence(S, k)
     ms = length_multiset(S, seq.element)
-    delta = seq.trade.delta
-    lo, mode = seq.min_len, seq.mode_len
+    F = fulcrum(S)
+    a, b = F.numerator, F.denominator
+    delta, lo, mode = seq.trade.delta, seq.min_len, seq.mode_len
     span = seq.max_len - lo
+    q = 2 * span
     weight = delta * ms.total
-    steps = []
-    for ell, mult in ms.items():
-        # the step runs from ell towards the peak, so its midpoint is
-        # ell + delta/2 below the mode, ell - delta/2 above it, ell at it
-        side = (ell < mode) - (ell > mode)
-        steps.append(
-            NormalizedStep(
-                length=ell,
-                position=Fraction(ell - lo, span),
-                midpoint=Fraction(2 * (ell - lo) + side * delta, 2 * span),
-                density=Fraction(mult * span, weight),
-                at_peak=ell == mode,
-            )
-        )
-    return NormalizedHistogram(
-        steps=tuple(steps),
-        step_width=Fraction(delta, span),
-        fulcrum=fulcrum(S),
-    )
+    # x = p/q against F = a/b: the model is 2x/F = 2pb/(aq) left of F and
+    # 2(1-x)/(1-F) = 2(bq-pb)/(q(b-a)) right of it
+    aq, bq, right = a * q, b * q, q * (b - a)
+
+    def rows():
+        for ell, mult in ms.items():
+            p = 2 * (ell - lo) + ((ell < mode) - (ell > mode)) * delta
+            pb = p * b
+            model = 2.0 if pb == aq else 2 * pb / aq if pb < aq else 2 * (bq - pb) / right
+            yield p / q, mult * span / weight, model
+
+    return rows()
 
 
 class EnvelopeReport(NamedTuple):

@@ -91,11 +91,8 @@ def _cmd_asymptotics(args) -> tuple[int, Iterable[str]]:
 
 def _cmd_model(args) -> tuple[int, Iterable[str]]:
     S = parse_semigroup(args.semigroup)
-    hist = asymptotics.normalized_histogram(S, args.k)
-    model = asymptotics.triangular_model(hist.fulcrum)
-    rows = ((_decimal(s.midpoint), _decimal(s.density), _decimal(model.density(s.midpoint)))
-            for s in hist.steps)
-    return 0, _csv_chunks("x,empirical,model\n", "%s,%s,%s\n", rows)
+    rows = asymptotics.model_rows(S, args.k)
+    return 0, _csv_chunks("x,empirical,model\n", "%.12g,%.12g,%.12g\n", rows)
 
 
 def _semigroup_payload(S: Semigroup) -> dict:

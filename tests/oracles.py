@@ -10,7 +10,10 @@ a generator is a sum of smaller ones, and ``primitive_triples`` scans leg
 pairs rather than using Euclid's formula.  ``QuadNumber`` has no ordering,
 so the exact sign of a + b*sqrt(m) is here: ``quad_sign`` clears
 denominators and compares integer squares.  ``compare_quadratics`` builds on
-it to order values over two different radicals.
+it to order values over two different radicals.  ``period_length_sums``
+reaches huge n without any kernel: it interpolates the number of
+factorizations and the sums of lengths and squared lengths from their
+values at a few small elements of the same residue class.
 
 Imports stay stdlib plus ``QuadNumber``: the benchmark loads this file too,
 and a test-only dependency here would change what it runs, while package
@@ -23,6 +26,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from typing import Callable
 
 from factorlengths.exactnum import QuadNumber
 
@@ -186,3 +190,32 @@ def compare_quadratics(x: QuadNumber, y: QuadNumber) -> int:
         return (left > right) - (left < right)
     squared = quad_sign(QuadNumber(d * d + x.b * x.b * x.m - y.b * y.b * y.m, 2 * d * x.b, x.m))
     return squared if left > 0 else -squared
+
+
+def period_length_sums(
+    gens: tuple[int, ...], n: int, sums_at: Callable[[int], tuple[int, int, int]]
+) -> tuple[Fraction, Fraction, Fraction]:
+    """(number of factorizations, sum of lengths, sum of squared lengths)
+    of n, from sums_at(m), the same three sums at m = n mod L + L*q for
+    q = 0 ... k+1, where L = lcm(gens).
+
+    The three are quasipolynomials in n of degrees k-1, k and k+1 with
+    period L, valid for every n >= 0: their generating functions G,
+    t dG/dt and (t d/dt)^2 G at t = 1, with G = prod 1/(1 - t z^gi), are
+    proper rational functions in z whose poles are roots of unity of order
+    dividing some gi.  On the class of n each is therefore a polynomial in
+    q of degree at most k+1, fixed by its values at the k+2 samples and
+    evaluated exactly at q = n // L by Lagrange's formula.
+    """
+    period = math.lcm(*gens)
+    r, target = n % period, n // period
+    nodes = range(len(gens) + 2)
+    samples = [sums_at(r + period * q) for q in nodes]
+    out = [Fraction(0)] * 3
+    for i in nodes:
+        weight = Fraction(1)
+        for j in nodes:
+            if j != i:
+                weight *= Fraction(target - j, i - j)
+        out = [acc + weight * value for acc, value in zip(out, samples[i])]
+    return tuple(out)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 import sympy
@@ -9,17 +10,17 @@ import sympy
 from factorlengths import asymptotics
 from factorlengths.asymptotics import (
     EnvelopeReport,
-    NormalizedStep,
     asymptotic_constants,
     asymptotic_mean,
     asymptotic_median,
     envelope_report,
     fulcrum,
-    normalized_histogram,
+    model_rows,
     scaled_sequence,
     triangular_model,
     upper_envelope,
 )
+from factorlengths.cli import main
 from factorlengths.exactnum import QuadNumber
 from factorlengths.factorization import length_multiset
 from factorlengths.semigroup import make_semigroup
@@ -166,6 +167,17 @@ class TestUpperEnvelope:
         assert max(gaps) <= 2 * gaps[-1]
 
 
+def _density_from_fraction_quotients(F: Fraction, x: Fraction) -> Fraction:
+    """Triangular density with peak (F, 2) on [0, 1]."""
+    if not 0 <= x <= 1:
+        raise ValueError(f"{x} outside [0, 1]")
+    if x == F:
+        return Fraction(2)
+    if x < F:
+        return 2 * x / F
+    return 2 * (1 - x) / (1 - F)
+
+
 class TestTriangularModel:
     def test_symmetric(self):
         model = triangular_model(HALF)
@@ -187,48 +199,53 @@ class TestTriangularModel:
             triangular_model(Fraction(11, 10))
 
     def test_density(self):
-        model = triangular_model(Fraction(3, 10))
-        assert model.density(Fraction(3, 10)) == 2
-        assert model.density(Fraction(0)) == 0
-        assert model.density(Fraction(1)) == 0
-        assert model.density(Fraction(3, 20)) == 1
+        F = Fraction(3, 10)
+        assert _density_from_fraction_quotients(F, Fraction(3, 10)) == 2
+        assert _density_from_fraction_quotients(F, Fraction(0)) == 0
+        assert _density_from_fraction_quotients(F, Fraction(1)) == 0
+        assert _density_from_fraction_quotients(F, Fraction(3, 20)) == 1
         with pytest.raises(ValueError):
-            model.density(Fraction(-1, 10))
+            _density_from_fraction_quotients(F, Fraction(-1, 10))
 
     def test_density_integrates_to_one(self):
         # exact triangle areas: (1/2)*F*2 + (1/2)*(1-F)*2 = 1
         for F in (Fraction(0), Fraction(3, 10), HALF, Fraction(9, 10)):
-            model = triangular_model(F)
-            assert F * model.density(F) / 2 + (1 - F) * model.density(F) / 2 == 1
+            peak = _density_from_fraction_quotients(F, F)
+            assert F * peak / 2 + (1 - F) * peak / 2 == 1
 
 
 class TestNormalizedHistogram:
+    """The paper's checks on the exact steps whose rounded values `model`
+    prints."""
+
     def test_unit_mass_exactly(self):
         for gens, k in [((3, 5, 7), 1), ((3, 5, 7), 2), ((6, 9, 20), 1)]:
-            hist = normalized_histogram(make_semigroup(gens), k)
-            assert sum(s.density for s in hist.steps) * hist.step_width == 1
+            S = make_semigroup(gens)
+            steps = _steps_from_fraction_sums(S, k)
+            assert sum(s.density for s in steps) * _step_width(S, k) == 1
 
     def test_peak_step_at_fulcrum(self):
+        S = make_semigroup([3, 5, 7])
         for k in (1, 2, 3):
-            hist = normalized_histogram(make_semigroup([3, 5, 7]), k)
-            peak_steps = [s for s in hist.steps if s.at_peak]
+            peak_steps = [s for s in _steps_from_fraction_sums(S, k) if s.at_peak]
             assert len(peak_steps) == 1
-            assert peak_steps[0].position == hist.fulcrum
-            assert peak_steps[0].midpoint == hist.fulcrum
+            assert peak_steps[0].position == fulcrum(S)
+            assert peak_steps[0].midpoint == fulcrum(S)
 
     def test_sup_deviation_shrinks(self):
         S = make_semigroup([3, 5, 7])
-        model = triangular_model(fulcrum(S))
+        F = fulcrum(S)
         dev1, dev2 = (
-            max(abs(s.density - model.density(s.midpoint)) for s in normalized_histogram(S, k).steps)
+            max(abs(s.density - _density_from_fraction_quotients(F, s.midpoint))
+                for s in _steps_from_fraction_sums(S, k))
             for k in (1, 2)
         )
         assert dev2 < dev1
 
     def test_peak_density_near_two(self):
-        hist = normalized_histogram(make_semigroup([3, 5, 7]), 2)
-        tallest = max(hist.steps, key=lambda s: s.density)
-        assert abs(tallest.position - hist.fulcrum) <= hist.step_width
+        S = make_semigroup([3, 5, 7])
+        tallest = max(_steps_from_fraction_sums(S, 2), key=lambda s: s.density)
+        assert abs(tallest.position - fulcrum(S)) <= _step_width(S, 2)
 
 
 def _small_random_semigroups(count: int, max_lengths: int) -> list[tuple[int, int, int]]:
@@ -244,8 +261,29 @@ def _small_random_semigroups(count: int, max_lengths: int) -> list[tuple[int, in
     return out
 
 
-def _steps_from_fraction_sums(S, k: int) -> tuple[NormalizedStep, ...]:
-    """normalized_histogram's steps from Fraction sums and products."""
+class Step(NamedTuple):
+    """One histogram step after rescaling to [0, 1].
+
+    position is the image of the length itself; midpoint is the center of
+    the step's interval (steps left of the peak extend right of their
+    length, steps right of it extend left, the peak step is the point F).
+    """
+
+    length: int
+    position: Fraction
+    midpoint: Fraction
+    density: Fraction
+    at_peak: bool
+
+
+def _step_width(S, k: int) -> Fraction:
+    seq = scaled_sequence(S, k)
+    return Fraction(seq.trade.delta, seq.max_len - seq.min_len)
+
+
+def _steps_from_fraction_sums(S, k: int) -> tuple[Step, ...]:
+    """The histogram of k*scale on [0, 1] with unit mass, from Fraction sums
+    and products: the exact values that model_rows rounds."""
     seq = scaled_sequence(S, k)
     ms = length_multiset(S, seq.element)
     delta = seq.trade.delta
@@ -261,7 +299,7 @@ def _steps_from_fraction_sums(S, k: int) -> tuple[NormalizedStep, ...]:
         else:
             mid = Fraction(ell)
         steps.append(
-            NormalizedStep(
+            Step(
                 length=ell,
                 position=Fraction(ell - seq.min_len, span),
                 midpoint=Fraction(mid - seq.min_len, span),
@@ -301,15 +339,6 @@ def _envelope_report_two_evaluations(S, k: int) -> EnvelopeReport:
     )
 
 
-def _density_from_fraction_quotients(F: Fraction, x: Fraction) -> Fraction:
-    """Triangular density with peak (F, 2) on [0, 1]."""
-    if x == F:
-        return Fraction(2)
-    if x < F:
-        return 2 * x / F
-    return 2 * (1 - x) / (1 - F)
-
-
 class TestEnvelopeReportMatchesTwoEvaluations:
     """envelope_report adds a fixed rise per side to each step's near-end
     gap; evaluating the envelope at both ends of every step is the
@@ -341,35 +370,43 @@ class TestEnvelopeReportMatchesTwoEvaluations:
         assert len(calls) == len(ms.entries) + 2
 
 
+def _check_model_rows(capsys, S, k: int) -> list[str]:
+    """model_rows against the exact steps and density rounded once, and the
+    `model` command's CSV lines against their .12g strings; the lines."""
+    F = fulcrum(S)
+    exact = [(s.midpoint, s.density, _density_from_fraction_quotients(F, s.midpoint))
+             for s in _steps_from_fraction_sums(S, k)]
+    assert list(model_rows(S, k)) == [tuple(map(float, row)) for row in exact]
+    assert main(["model", "-s", ",".join(map(str, S.gens)), "-k", str(k)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "x,empirical,model"
+    assert lines[1:] == [",".join(format(float(v), ".12g") for v in row) for row in exact]
+    return lines[1:]
+
+
 class TestIntegerLoopsMatchFractions:
-    """normalized_histogram and TriangularModel.density build each Fraction
-    from integer terms; the Fraction arithmetic they replaced is the
-    reference."""
+    """model_rows rounds ratios of integers once, with no Fraction per
+    length; the exact steps and density, rounded, are the reference, down
+    to the bytes the `model` command prints."""
 
     @pytest.mark.parametrize("gens", [(3, 5, 7), (5, 8, 13), (6, 9, 20), (7, 16, 25), (12, 15, 20)])
     @pytest.mark.parametrize("k", [1, 2])
-    def test_named_semigroups(self, gens, k):
-        S = make_semigroup(gens)
-        assert normalized_histogram(S, k).steps == _steps_from_fraction_sums(S, k)
+    def test_named_semigroups(self, capsys, gens, k):
+        _check_model_rows(capsys, make_semigroup(gens), k)
 
     @pytest.mark.parametrize("gens", _small_random_semigroups(20, 5_000))
-    def test_random_semigroups(self, gens):
-        S = make_semigroup(gens)
-        assert normalized_histogram(S, 1).steps == _steps_from_fraction_sums(S, 1)
+    def test_random_semigroups(self, capsys, gens):
+        _check_model_rows(capsys, make_semigroup(gens), 1)
 
-    def test_density(self):
-        rng = random.Random(14)
-        peaks = [Fraction(0), HALF, Fraction(1)]
-        peaks += [Fraction(rng.randint(1, 99), 100) for _ in range(20)]
-        for F in peaks:
-            model = triangular_model(F)
-            xs = [F, Fraction(0), Fraction(1)]
-            xs += [Fraction(rng.randint(0, q), q) for q in rng.choices(range(1, 500), k=40)]
-            for x in xs:
-                assert model.density(x) == _density_from_fraction_quotients(F, x), (F, x)
-            for x in (Fraction(-1, 7), Fraction(8, 7)):
-                with pytest.raises(ValueError, match="outside"):
-                    model.density(x)
+    def test_density(self, capsys):
+        """The model column peaks at exactly 2 on the one row at F: <3,5,7>
+        (F = 3/10) for k <= 3, and <12,15,20> (F = 1/2)."""
+        cases = [((3, 5, 7), k) for k in (1, 2, 3)] + [((12, 15, 20), 1)]
+        for gens, k in cases:
+            S = make_semigroup(gens)
+            lines = _check_model_rows(capsys, S, k)
+            peaks = [line for line in lines if line.endswith(",2")]
+            assert [line.split(",")[0] for line in peaks] == [format(float(fulcrum(S)), ".12g")]
 
 
 class TestMedianRadicandForms:

@@ -102,6 +102,20 @@ class TestModel:
         assert lines[0] == "x,empirical,model"
         assert len(lines) > 100
 
+    @pytest.mark.parametrize("argv, message", [
+        ("-s 3,5 -k 1", "operation requires exactly 3 generators, got 2"),
+        ("-s 3,5,7,11 -k 1", "operation requires exactly 3 generators, got 4"),
+        ("-s 3,5,7 -k 0", "scale index must be >= 1, got 0"),
+        ("-s 3,5,7 -k -1", "scale index must be >= 1, got -1"),
+    ])
+    def test_errors_before_any_output(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, "model", *argv.split())
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        path = tmp_path / "model.csv"
+        code, out, err = run(capsys, "model", *argv.split(), "--out", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not path.exists()
+
 
 class TestConstruct:
     def test_pythagorean(self, capsys):
@@ -330,8 +344,6 @@ RECORD_FIELDS = {
     asymptotics.ScaledSequence: ("k", "scale", "min_len", "max_len", "mode_len", "num_trades",
                                  "semigroup", "trade"),
     asymptotics.TriangularModel: ("peak", "mean", "median"),
-    asymptotics.NormalizedStep: ("length", "position", "midpoint", "density", "at_peak"),
-    asymptotics.NormalizedHistogram: ("steps", "step_width", "fulcrum"),
     asymptotics.EnvelopeReport: ("k", "pointwise_ok", "max_pointwise_gap", "max_step_gap"),
     experiments.ConvergenceRow: ("n", "mean_ratio", "median_ratio", "mean_err", "median_err"),
     experiments.SweepResult: ("semigroup", "mean_constant", "median_constant", "rows", "skipped"),
@@ -418,6 +430,19 @@ GOLDEN_DIGESTS = [
      "c057808d681cd10709620d8e15a9ba690cfa304489c2bbdc8abe6b217c434a98"),
     ("model -s 3,5,7 -k 2",
      "0b03de1714912ea4e1817487c16e8f0e6f2a54af814f1f1751a16cb794e1a2b5"),
+    # the largest model query of the benchmark; F = 1/2, whose peak row
+    # prints 2; delta = 9, midpoints 9/(2*span) off their lengths; a
+    # narrow semigroup; k = 3
+    ("model -s 6,9,20 -k 1",
+     "500a0e094e4c109a2fdaf10a9e810827ff25ba7aa8a56a6b9ccaabfe54aa7d99"),
+    ("model -s 12,15,20 -k 1",
+     "e0e667d594b24f39237dfc44ebb1b43ee5933bb3ecefc7fccfda9aa1e10f5d6d"),
+    ("model -s 7,16,25 -k 1",
+     "244b3abe4246030451943481f24f16360f9a5e93409eb20d6d2a08fac7c623db"),
+    ("model -s 48,49,50 -k 1",
+     "7d9a7a813a54327f0fb346165697e1c0119b69677ce0cb86401e72416fb0cc36"),
+    ("model -s 5,8,13 -k 3",
+     "8e86b442043886fe9c153984cb8331ed8cced7ffbc0e71644cfaaa1f30279ca1"),
     ("construct pythagorean 4 3 5",
      "082c84af1e1af28f55a64dc417b18068c10c9805f1db63bb9ea23c4d94c021fb"),
     ("construct sqrtd 2 5",
@@ -491,6 +516,14 @@ class TestGoldenBytes:
         assert path.read_text().count("\n") > cli.CHUNK_ROWS + 1
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "d2945a08ac120dde157a7998b6e0b820dc069fcb93fdab84987fba4855de3b8c"
+        )
+
+    def test_model_out_file_digest(self, capsys, tmp_path):
+        path = tmp_path / "model.csv"
+        code, out, err = run(capsys, "model", "-s", "5,8,13", "-k", "2", "--out", str(path))
+        assert code == 0 and out == "", err
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "34b269270777ce17830e78f197dce5fd7721fecfd91edbfd1d4d68ffd1bc0bda"
         )
 
     def test_failed_verification_digest(self, capsys):

@@ -1,16 +1,27 @@
 """Closed length counting against the enumeration oracle."""
 
+import importlib.util
 import math
 import random
+from fractions import Fraction
+from functools import cache, partial
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorlengths.asymptotics import asymptotic_mean
 from factorlengths.factorization import _counts, _three_counts, histogram_rows, length_multiset
 from factorlengths.semigroup import NotInSemigroup, make_semigroup, trade_data
 
-from oracles import brute_factorizations, brute_length_counter, enumerate_factorizations
+from oracles import (
+    brute_factorizations,
+    brute_length_counter,
+    enumerate_factorizations,
+    period_length_sums,
+)
 
 MCNUGGET_132 = [
     (2, 0, 6), (0, 8, 3), (3, 6, 3), (6, 4, 3), (9, 2, 3), (12, 0, 3),
@@ -473,6 +484,94 @@ def test_counts_helper_matches_direct_evaluation(f0, df, m, x0, dx, Bg, a, lengt
     b = a + length
     direct = [(f0 + df * i) // m + (x0 + dx * i) // Bg for i in range(a, b)]
     assert list(_counts(f0, df, m, x0, dx, Bg, a, b)) == direct
+
+
+# -- counts and length sums at huge n, interpolated over one period --------
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _hist_sums(hist: dict[int, int]) -> tuple[int, int, int]:
+    """(total, sum of lengths, sum of squared lengths) of {length: count}."""
+    return (sum(hist.values()), sum(ell * c for ell, c in hist.items()),
+            sum(ell * ell * c for ell, c in hist.items()))
+
+
+def _multiset_sums(ms) -> tuple[int, int, int]:
+    """_hist_sums of a length multiset by additions: with lengths
+    start + step*i, suffix sums s1 of the counts and s2 of s1 give
+    sum(i*c) = sum(s1[1:]) and sum(i*(i+1)/2*c) = sum(s2[1:])."""
+    suffix = list(accumulate(reversed(ms.counts)))  # s1 from the top index down
+    suffix_sum = sum(suffix)
+    first = suffix_sum - ms.total
+    second = 2 * (sum(accumulate(suffix)) - suffix_sum) - first
+    start, step = ms.lengths.start, ms.lengths.step
+    return (ms.total, start * ms.total + step * first,
+            start * start * ms.total + 2 * start * step * first + step * step * second)
+
+
+@cache
+def _scan_sums(gens: tuple[int, int, int], n: int) -> tuple[int, int, int]:
+    return _hist_sums(scan_reference(gens, n))
+
+
+@cache
+def _enumerated_sums(gens: tuple[int, ...], n: int) -> tuple[int, int, int]:
+    return _hist_sums(brute_length_counter(gens, n))
+
+
+def _invariants_candidates() -> list[tuple[tuple[int, int, int], int]]:
+    """(generators, n) of every large_n_stats invariants query."""
+    return [
+        (tuple(map(int, argv[argv.index("-s") + 1].split(","))), int(argv[argv.index("-n") + 1]))
+        for _, argv in _load_workloads().all_candidates("large_n_stats")
+        if argv[0] == "invariants"
+    ]
+
+
+class TestPeriodOracle:
+    """oracles.period_length_sums reaches any n from k + 2 small samples of
+    its residue class modulo lcm(gens), with no kernel in the route."""
+
+    def test_large_n_stats_candidates(self):
+        """Every benchmark invariants query, n up to 5e6, against the
+        kernel; the samples come from the per-length scan, n < 5*lcm."""
+        candidates = _invariants_candidates()
+        assert len(candidates) == 240
+        assert max(math.lcm(*gens) for gens, _ in candidates) == 58_800
+        for gens, n in candidates:
+            kernel = _multiset_sums(length_multiset(make_semigroup(gens), n))
+            assert period_length_sums(gens, n, partial(_scan_sums, gens)) == kernel, (gens, n)
+
+    @pytest.mark.parametrize("gens", [
+        (3, 5, 7), (4, 6, 9), (6, 9, 20),
+        # any positive generators give quasipolynomials; these keep lcm small
+        (2, 3, 4, 6), (3, 4, 6, 8), (2, 5, 6, 15),
+    ])
+    def test_sample_route_against_enumeration(self, gens):
+        """n in steps of 7 through the two periods after the last sample.
+        Samples below the Frobenius number have no factorization and
+        still fix the polynomial."""
+        period = math.lcm(*gens)
+        sums_at = partial(_enumerated_sums, gens)
+        for n in range((len(gens) + 2) * period, (len(gens) + 4) * period, 7):
+            assert period_length_sums(gens, n, sums_at) == sums_at(n), (gens, n)
+
+    def test_huge_n(self):
+        """<6,9,20> at n = 10^60 + 1: integer sums, and mean/n within
+        10^-50 of asymptotic_mean (mean - asymptotic_mean*n is O(1))."""
+        S = make_semigroup([6, 9, 20])
+        n = 10**60 + 1
+        sums = period_length_sums(S.gens, n, partial(_scan_sums, S.gens))
+        assert all(value.denominator == 1 and value > 0 for value in sums)
+        total, first, _ = sums
+        assert abs(first / total / n - asymptotic_mean(S)) < Fraction(1, 10**50)
 
 
 class TestAccessors:
