@@ -1,12 +1,12 @@
 """Exact length-multiset counting.
 
-``length_multiset`` never materializes factorizations; it returns the
-multiplicities over the progression of possible lengths as one list.  For
-three generators ``_three_counts`` builds that list from linear forms in
-the length's index: one period of lengths is evaluated in Python and
-``itertools`` builds the rest.  With more than three generators the outer
-coefficients are enumerated and the three smallest generators are counted
-the same way.
+``length_multiset`` never materializes factorizations; ``_lengths`` returns
+the multiplicities over the progression of candidate lengths as one list.
+For three generators ``_three_counts`` builds that list from linear forms
+in the length's index: one period of lengths is evaluated in Python and
+``itertools`` builds the rest.  With more than three generators each count
+of copies of the largest generator recurses on the others, divided by
+their gcd.
 
 The tuple enumerator that cross-checks this route lives with the other
 test oracles in ``tests/oracles.py``; the per-length scan that the linear
@@ -16,6 +16,7 @@ forms replaced is kept in ``tests/test_factorization.py``.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import accumulate, chain, compress, cycle, islice, repeat
 from operator import add, sub
 from typing import NamedTuple
@@ -86,80 +87,79 @@ def _counts(f0: int, df: int, m: int, x0: int, dx: int, Bg: int, a: int, b: int)
     return accumulate(islice(cycle(steps), b - a - 1), initial=head[0])
 
 
-def _three_counts(gens: tuple[int, int, int], n: int) -> tuple[int, int, list[int]]:
-    """(least length, step, counts) of n over three generators; counts[i] is
-    the multiplicity of length least + step*i, and is empty when n has no
-    factorization.
+def _three_counts(gens: tuple[int, int, int], n: int, lo: int, N: int) -> list[int]:
+    """Multiplicities of the N lengths lo + g*i of n over three generators
+    with gcd 1, untrimmed; g = gcd(n2-n1, n3-n1) is the semigroup's delta.
 
     A length-ell tuple (x1, x2, x3) satisfies A*x2 + B*x3 = n - ell*n1 with
-    A = n2-n1, B = n3-n1 and x2 + x3 <= ell.  Solvability puts ell in one
-    class mod step, and the i-th length of that class, from
-    lo = ceil(n/n3) up, has the particular solution x2 = u*r, x3 = w*r with
-    r = (n - ell*n1)/g and y = ell - x2 - x3 left for x1.  All three are
-    linear in i, and the solutions are (x2 + Bg*j, x3 - Ag*j, y - Cg*j), so
+    A = n2-n1, B = n3-n1 and x2 + x3 <= ell.  The i-th length has the
+    particular solution x2 = u*r, x3 = w*r with r = (n - ell*n1)/g and
+    y = ell - x2 - x3 left for x1.  All three are linear in i, and the
+    solutions are (x2 + Bg*j, x3 - Ag*j, y - Cg*j), so
     count(i) = min(x3 // Ag, y // Cg) + (x2 + Bg) // Bg where that is
     positive, and no tuple has the length where it is not.  The x3 term is
-    the smaller exactly where D = Cg*x3 - Ag*y <= 0, and D falls by n2/d
-    per step because Ag*u + Bg*w = 1.
+    the smaller exactly where D = Cg*x3 - Ag*y <= 0, and D falls by n2 per
+    step because Ag*u + Bg*w = 1.
     """
     n1, n2, n3 = gens
     A, B = n2 - n1, n3 - n1
     g = math.gcd(A, B)
     Ag, Bg, Cg = A // g, B // g, (B - A) // g
-    d = math.gcd(n1, g)
-    if n < 0 or n % d:
-        return 0, 1, []
-    step = g // d
-    lo = _ceil_div(n, n3)
-    if step > 1:
-        lo += ((n // d) * pow(n1 // d, -1, step) - lo) % step
-    N = (n // n1 - lo) // step + 1
-    if N <= 0:
-        return 0, 1, []
     u = pow(Ag, -1, Bg)  # u*A ≡ g (mod B); Bg >= 2 because A < B
     w = (g - A * u) // B
-    r0, dr = (n - lo * n1) // g, -(n1 // d)
-    x2, dx2 = u * r0, u * dr
-    x3, dx3 = w * r0, w * dr
-    y, dy = lo - x2 - x3, step - dx2 - dx3
+    r0 = (n - lo * n1) // g
+    x2, dx2 = u * r0, -u * n1
+    x3, dx3 = w * r0, -w * n1
+    y, dy = lo - x2 - x3, g - dx2 - dx3
     # the y term is the smaller on [0, s), the x3 term on [s, N)
-    s = min(max(_ceil_div(Cg * x3 - Ag * y, n2 // d), 0), N)
-    counts = list(_counts(y, dy, Cg, x2 + Bg, dx2, Bg, 0, s))
-    counts += _counts(x3, dx3, Ag, x2 + Bg, dx2, Bg, s, N)
-    # the real relaxation of count is concave, so counts <= 0 lie only at the ends
-    return lo + step * _trim(counts), step, counts
+    s = min(max(_ceil_div(Cg * x3 - Ag * y, n2), 0), N)
+    return [*_counts(y, dy, Cg, x2 + Bg, dx2, Bg, 0, s),
+            *_counts(x3, dx3, Ag, x2 + Bg, dx2, Bg, s, N)]
+
+
+def _lengths(S: Semigroup, n: int) -> tuple[int, list[int]]:
+    """(least, counts) of n in S: counts[i] is the multiplicity of length
+    least + delta*i, both ends are positive, and counts is empty when n is
+    not in S.
+
+    Every length of n is ≡ n/n1 mod delta and lies in [n/nk, n/n1]; the N
+    lengths of that class from lo up are the candidates.  With k >= 4, the
+    factorizations with c copies of nk are those of (n - c*nk)/e in the
+    semigroup of the other generators over their gcd e, whose delta is a
+    multiple of S's.
+    """
+    gens, delta = S.gens, S.delta
+    lo = _ceil_div(n, gens[-1])
+    lo += (n * pow(gens[0], -1, delta) - lo) % delta
+    N = (n // gens[0] - lo) // delta + 1
+    if N <= 0:
+        return lo, []
+    if N > sys.maxsize:
+        raise ValueError(f"n = {n} has {N} candidate lengths, more than {sys.maxsize}")
+    if S.k == 2:
+        counts = [1] * N  # every candidate is a length, of one factorization
+    elif S.k == 3:
+        counts = _three_counts(gens, n, lo, N)
+    else:
+        *others, nk = gens
+        e = math.gcd(*others)
+        inner = Semigroup(tuple(g // e for g in others))
+        stride = inner.delta // delta
+        counts = [0] * N
+        # e divides n - c*nk exactly for c in one class mod e (gcd(nk, e) = 1)
+        for c in range(n * pow(nk, -1, e) % e, n // nk + 1, e):
+            least, part = _lengths(inner, (n - c * nk) // e)
+            if part:
+                j = (c + least - lo) // delta
+                span = slice(j, j + stride * len(part), stride)
+                counts[span] = map(add, counts[span], part)
+    # k = 3 counts <= 0 lie only at the ends: the real relaxation of count is concave
+    return lo + delta * _trim(counts), counts
 
 
 def length_multiset(S: Semigroup, n: int) -> LengthMultiset:
     """Length multiset of n, computed without materializing factorizations."""
-    gens = S.gens
-    if S.k == 2:
-        # each step of x1 by n2 (gcd 1) raises the length by n2 - n1
-        n1, n2 = gens
-        x1 = n * pow(n1, -1, n2) % n2
-        first, counts = x1 + (n - x1 * n1) // n2, [1] * ((n // n1 - x1) // n2 + 1)
-    elif S.k == 3:
-        first, _, counts = _three_counts(gens, n)
-    else:
-        # acc[j] counts the length least + j, least = ceil(n/nk)
-        least = _ceil_div(n, gens[-1])
-        acc = [0] * (n // gens[0] - least + 1)
-        first3 = gens[:3]
-
-        def descend(idx: int, rem: int, base_len: int) -> None:
-            if idx == 2:
-                start, step, counts = _three_counts(first3, rem)
-                if counts:
-                    j = base_len + start - least
-                    span = slice(j, j + step * len(counts), step)
-                    acc[span] = map(add, acc[span], counts)
-                return
-            g = gens[idx]
-            for c in range(rem // g, -1, -1):
-                descend(idx - 1, rem - c * g, base_len + c)
-
-        descend(S.k - 1, n, 0)
-        first, counts = least + _trim(acc), acc[::S.delta]
+    first, counts = _lengths(S, n)
     if not counts:
         raise NotInSemigroup(f"{n} not in semigroup {S}")
     return LengthMultiset(

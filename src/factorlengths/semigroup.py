@@ -37,7 +37,7 @@ class TradeData(NamedTuple):
 
 class Semigroup(NamedTuple("Semigroup", [("gens", tuple[int, ...])])):
     """Sorted generators, validated on construction; equal and hashed by
-    value.  Instances keep a __dict__ for the cached Apery set."""
+    value.  Instances keep a __dict__ for the cached delta and Apery set."""
 
     def __new__(cls, gens: tuple[int, ...]) -> Semigroup:
         gens = tuple(gens)
@@ -56,11 +56,10 @@ class Semigroup(NamedTuple("Semigroup", [("gens", tuple[int, ...])])):
     def k(self) -> int:
         return len(self.gens)
 
-    @property
+    @cached_property
     def delta(self) -> int:
         """gcd of all pairwise generator differences (step of length sets)."""
-        diffs = [b - a for a, b in zip(self.gens, self.gens[1:])]
-        return math.gcd(*diffs)
+        return math.gcd(*(b - a for a, b in zip(self.gens, self.gens[1:])))
 
     @cached_property
     def apery(self) -> list[int]:
@@ -127,7 +126,7 @@ def trade_data(S: Semigroup) -> TradeData:
     if S.k != 3:
         raise ValueError(f"trade data requires exactly 3 generators, got {S.k}")
     n1, n2, n3 = S.gens
-    delta = math.gcd(n3 - n2, n2 - n1)
+    delta = S.delta
     low = (n3 - n2) // delta
     high = (n2 - n1) // delta
     mid = (n3 - n1) // delta

@@ -51,6 +51,14 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", "-s", "2,4", "-n", "8")
         assert code == 2 and "gcd" in err
 
+    @pytest.mark.parametrize("gens", ["4,7", "6,9,20", "4,5,6,7"])
+    def test_more_candidate_lengths_than_maxsize_exit_2(self, capsys, gens):
+        """n = 10**21 has more candidate lengths than a list can hold, at k = 2, 3 and 4."""
+        n = str(10**21)
+        code, out, err = run(capsys, "invariants", "-s", gens, "-n", n)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and n in err and len(err.splitlines()) == 1
+
 
 class TestHistogram:
     def test_csv(self, capsys):
@@ -495,6 +503,16 @@ GOLDEN_DIGESTS = [
      "bff318af0666dceaec344da637726735c51db4a81acff903e7dd1151b6355165"),
     ("histo4 -s 4,5,6,7 -n 240 --csv",
      "bc1a933d72a0dbfc92860b1cd2615e5268897ee8ef3036e65166a5396dbd607e"),
+    # k >= 4 through reduced semigroups: a factor 2 shared at two levels,
+    # delta 3 at k = 4, and a mid-size k = 4 report; k = 2 with delta 3
+    ("histo4 -s 8,12,16,18,19 -n 1500",
+     "1d45163af30c72247ca7e67eb4b7a038beeca0a00257c09c70dd4a5637eacc7b"),
+    ("histogram -s 7,10,13,16 -n 2000 --include-zeros",
+     "cbed82fc8e855f98cc75e48a62ce4e020b8db32fc574c15a0feb75d67dca0ce3"),
+    ("invariants -s 5,7,8,9 -n 30000",
+     "816843b036a84ae9cb13b2a214adc75d78e974cdef6ab8cf03cc01a39f66f711"),
+    ("histogram -s 4,7 -n 1000 --include-zeros",
+     "d5f4ec5152a67a21022ff82c29f1e76a97a4d93bfb1bb1ada21cffb1750bdd64"),
 ]
 
 

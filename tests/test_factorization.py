@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorlengths.asymptotics import asymptotic_mean
-from factorlengths.factorization import _counts, _three_counts, histogram_rows, length_multiset
+from factorlengths.factorization import _counts, histogram_rows, length_multiset
 from factorlengths.semigroup import NotInSemigroup, make_semigroup, trade_data
 
 from oracles import (
@@ -118,7 +118,7 @@ class TestLengthMultiset:
     @pytest.mark.parametrize("gens", [(4, 6, 8, 9), (9, 12, 15, 16), (6, 10, 14, 15)])
     def test_shared_factor_among_smallest_generators(self, gens):
         """k >= 4 semigroups whose three smallest generators share a factor
-        stress the congruence filtering of the inner counting loop."""
+        recurse on the reduced triple where that factor divides the rest."""
         S = make_semigroup(gens)
         for n in range(0, 140):
             enumerated = brute_length_counter(S.gens, n)
@@ -161,7 +161,7 @@ class TestKeyOrder:
         ((4, 7), 400), ((5, 8), 400),
         ((3, 5, 7), 900), ((48, 49, 50), 3000), ((6, 9, 20), 1200),
         ((4, 6, 8, 9), 200), ((5, 7, 8, 9, 11), 120),
-        # descend's scans interleave lengths here, so only the sort orders them
+        # the parts of several copies of n4 interleave their lengths here
         ((6, 10, 14, 15), 200), ((4, 6, 9, 11), 200),
     ])
     def test_named_semigroups(self, gens, n_max):
@@ -201,6 +201,48 @@ class TestCounting:
             except NotInSemigroup:
                 total = 0
             assert total == sum(brute_length_counter(S4.gens, n).values())
+
+
+def check_enumerated(gens, n):
+    """The whole record of n, laid onto the delta progression, against the
+    lengths of the enumerated tuples."""
+    S = make_semigroup(gens)
+    enumerated = brute_length_counter(S.gens, n)
+    if not enumerated:
+        with pytest.raises(NotInSemigroup):
+            length_multiset(S, n)
+        return
+    ms = length_multiset(S, n)
+    lengths = range(min(enumerated), max(enumerated) + 1, S.delta)
+    assert ms.lengths == lengths and set(enumerated) <= set(lengths), (gens, n)
+    assert ms.counts == [enumerated[ell] for ell in lengths], (gens, n)
+    assert ms.total == sum(enumerated.values()), (gens, n)
+
+
+class TestReducedRecursion:
+    """k >= 4 counts the factorizations with c copies of nk as those of
+    (n - c*nk)/e over the other generators divided by their gcd e."""
+
+    def test_factor_shared_twice(self):
+        """<8,12,16,18> share 2, and the three smallest of <4,6,8,9> share 2
+        again, so the recursion divides at two levels."""
+        for n in range(-3, 200):
+            check_enumerated((8, 12, 16, 18, 19), n)
+
+    def test_delta_three(self):
+        """<7,10,13,16> has delta 3, so the parts land on every third length."""
+        for n in range(-3, 200):
+            check_enumerated((7, 10, 13, 16), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gens=st.lists(st.integers(2, 25), min_size=4, max_size=5, unique=True)
+    .filter(lambda gens: math.gcd(*gens) == 1),
+    n=st.integers(-3, 160),
+)
+def test_many_generators_match_enumeration_property(gens, n):
+    check_enumerated(gens, n)
 
 
 class TestQuadraticGrowth:
@@ -360,19 +402,6 @@ def scan_d_values(gens, n: int) -> list[int]:
     return values
 
 
-def check_three_counts(gens, n):
-    """_three_counts(gens, n) against the scan, for any three generators."""
-    hist = scan_reference(gens, n)
-    start, step, counts = _three_counts(tuple(gens), n)
-    if not hist:
-        assert counts == [], (gens, n)
-        return
-    assert counts[0] > 0 and counts[-1] > 0 and min(counts) >= 0, (gens, n)
-    lengths = range(start, start + step * len(counts), step)
-    assert (lengths[0], lengths[-1]) == (min(hist), max(hist)), (gens, n)
-    assert dict((ell, c) for ell, c in zip(lengths, counts) if c) == hist, (gens, n)
-
-
 def check_multiset(gens, n):
     """length_multiset against the scan, laid onto the delta progression."""
     S = make_semigroup(gens)
@@ -409,14 +438,6 @@ def test_multiset_matches_scan_property(gens, n):
     if math.gcd(*gens) != 1:
         return
     check_multiset(gens, n)
-
-
-@settings(max_examples=150, deadline=None)
-@given(gens=TRIPLES, n=st.integers(-5, 10**5))
-def test_three_counts_matches_scan_for_any_gcd(gens, n):
-    """descend hands the three smallest generators of k >= 4 semigroups to
-    _three_counts, and they may share a factor (d > 1)."""
-    check_three_counts(gens, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -465,12 +486,6 @@ class TestSplit:
             check_multiset(gens, n)
         check_multiset(gens, 10**5)
         check_multiset(gens, 10**5 + 1)
-
-    @pytest.mark.parametrize("gens", [(4, 6, 8), (6, 10, 14), (9, 12, 15), (6, 9, 12)])
-    def test_shared_factor_triples(self, gens):
-        """Triples with gcd > 1 occur only inside descend."""
-        for n in range(-5, 1500):
-            check_three_counts(gens, n)
 
 
 @settings(max_examples=200, deadline=None)
