@@ -18,19 +18,14 @@ from typing import Iterator, NamedTuple
 
 from .exactnum import QuadNumber, quad_sqrt
 from .factorization import length_multiset
-from .semigroup import Semigroup, TradeData, trade_data
+from .semigroup import Semigroup, TradeData, require_three, trade_data
 
 _HALF = Fraction(1, 2)
 
 
-def _require_three(S: Semigroup) -> None:
-    if S.k != 3:
-        raise ValueError(f"operation requires exactly 3 generators, got {S.k}")
-
-
 def fulcrum(S: Semigroup) -> Fraction:
     """Normalized peak location of the limiting length distribution."""
-    _require_three(S)
+    require_three(S)
     n1, n2, n3 = S.gens
     F = Fraction(n1 * (n3 - n2), n2 * (n3 - n1))
     assert 0 < F < 1
@@ -39,7 +34,7 @@ def fulcrum(S: Semigroup) -> Fraction:
 
 def asymptotic_mean(S: Semigroup) -> Fraction:
     """Exact limit of mean_length(n)/n: one third of the reciprocal sum."""
-    _require_three(S)
+    require_three(S)
     n1, n2, n3 = S.gens
     return (Fraction(1, n1) + Fraction(1, n2) + Fraction(1, n3)) / 3
 
@@ -50,11 +45,10 @@ def asymptotic_median(S: Semigroup) -> QuadNumber:
     The mixing weight on 1/n1 is the median of the triangular model with
     peak at the fulcrum, carried from [0, 1] onto [1/n3, 1/n1].
     """
-    _require_three(S)
+    w = triangular_model(fulcrum(S)).median
     n1, _, n3 = S.gens
     inv1, inv3 = Fraction(1, n1), Fraction(1, n3)
     c = inv1 - inv3
-    w = triangular_model(fulcrum(S)).median
     # w/n1 + (1 - w)/n3 = 1/n3 + c*w, on the components of w
     return QuadNumber(inv3 + c * w.a, c * w.b, w.m)
 
@@ -100,11 +94,10 @@ class ScaledSequence(NamedTuple):
 
 
 def scaled_sequence(S: Semigroup, k: int) -> ScaledSequence:
-    _require_three(S)
+    trade = trade_data(S)
     if k < 1:
         raise ValueError(f"scale index must be >= 1, got {k}")
     n1, n2, n3 = S.gens
-    trade = trade_data(S)
     dt = trade.delta * trade.element
     return ScaledSequence(
         k=k,

@@ -46,8 +46,6 @@ def is_prime(n: int) -> bool:
 
 def _pollard_rho(n: int) -> int:
     """Find a nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
     seed = 1
     while True:
         seed += 1
@@ -99,8 +97,6 @@ def factorize(n: int) -> dict[int, int]:
         stack = [n]
         while stack:
             v = stack.pop()
-            if v == 1:
-                continue
             if is_prime(v):
                 factors[v] = factors.get(v, 0) + 1
                 continue
@@ -182,14 +178,13 @@ class QuadNumber(NamedTuple("QuadNumber", [("a", Fraction), ("b", Fraction), ("m
 def quad_sqrt(value: Fraction | int) -> QuadNumber:
     """Exact square root of a nonnegative rational as a QuadNumber (a = 0).
 
-    sqrt(p/q) = sqrt(p*q)/q, and the square part of p*q folds into the
-    rational coefficient, leaving a squarefree radicand.
+    sqrt(p/q) = sqrt(p*q)/q; QuadNumber folds the square part of p*q into
+    the rational coefficient, leaving a squarefree radicand.
     """
     r = Fraction(value)
     if r < 0:
         raise ValueError(f"negative radicand {r}")
     if r == 0:
         return QuadNumber(Fraction(0), Fraction(0))
-    root, core = squarefree_decompose(r.numerator * r.denominator)
-    return QuadNumber(Fraction(0), Fraction(root, r.denominator), core)
+    return QuadNumber(Fraction(0), Fraction(1, r.denominator), r.numerator * r.denominator)
 

@@ -15,11 +15,11 @@ from fractions import Fraction
 from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
-from .asymptotics import asymptotic_mean, asymptotic_median
+from .asymptotics import asymptotic_mean, asymptotic_median, scaled_sequence
 from .exactnum import QuadNumber
 from .factorization import LengthMultiset, length_multiset
 from .invariants import mean_length, median_length, mode
-from .semigroup import Semigroup, contains, trade_data
+from .semigroup import Semigroup, contains, require_three, trade_data
 
 
 class ConvergenceRow(NamedTuple):
@@ -115,13 +115,11 @@ class ModeTheoremReport(NamedTuple):
 
 
 def verify_mode_theorem(S: Semigroup, n_max: int) -> ModeTheoremReport:
-    if S.k != 3:
-        raise ValueError("mode recurrence check requires 3 generators")
+    require_three(S)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     trade = trade_data(S)
-    t = trade.element
-    shift = t // S.gens[1]
+    t, shift = trade.element, trade.mid  # t = mid * n2
     failures: list[tuple[int, str]] = []
     residuals: dict[int, Fraction] = {}
     ahead: dict[int, tuple[tuple[int, ...], int]] = {}  # modes of the elements in (n, n + t]
@@ -200,8 +198,7 @@ def verify_structure_theorem(
     window holding fewer than two elements of S has no two halves to compare
     and raises ValueError.
     """
-    if S.k != 3:
-        raise ValueError("structure check requires 3 generators")
+    require_three(S)
     if n_lo is None:
         n_lo = 4 * S.gens[2] ** 2
     if n_hi is None:
@@ -264,15 +261,11 @@ class QuasilinearityVerdict(NamedTuple):
 
 
 def candidate_periods(S: Semigroup) -> list[int]:
-    """Default period ladder: trade element, generator product, full scale."""
-    trade = trade_data(S)
+    """Default period ladder: trade element < generator product < full scale.
+    The three never repeat: the element is mid*n2 with mid <= n3 - n1 < n1*n3."""
+    seq = scaled_sequence(S, 1)
     n1, n2, n3 = S.gens
-    ladder = [trade.element, n1 * n2 * n3, trade.delta * trade.element * n1 * n2 * n3]
-    out = []
-    for p in ladder:
-        if p not in out:
-            out.append(p)
-    return out
+    return [seq.trade.element, n1 * n2 * n3, seq.scale]
 
 
 def probe_median_quasilinearity(
@@ -293,8 +286,7 @@ def probe_median_quasilinearity(
     quasilinear median has a rational limit of median(n)/n.  Each element's
     median is computed once, however many periods visit it.
     """
-    if S.k != 3:
-        raise ValueError("median quasilinearity probe requires 3 generators")
+    require_three(S)
     if periods is None:
         periods = candidate_periods(S)
     if any(p <= 0 for p in periods):

@@ -16,12 +16,15 @@ forms replaced is kept in ``tests/test_factorization.py``.
 from __future__ import annotations
 
 import math
-import sys
 from itertools import accumulate, chain, compress, cycle, islice, repeat
 from operator import add, sub
 from typing import NamedTuple
 
 from .semigroup import NotInSemigroup, Semigroup
+
+# Most candidate lengths one element may have.  Just under the cap, the
+# counts of <6,9,20> (large ints) put `invariants` at a peak RSS of 1.3 GiB.
+MAX_CANDIDATES = 2**25
 
 
 class LengthMultiset(
@@ -134,8 +137,8 @@ def _lengths(S: Semigroup, n: int) -> tuple[int, list[int]]:
     N = (n // gens[0] - lo) // delta + 1
     if N <= 0:
         return lo, []
-    if N > sys.maxsize:
-        raise ValueError(f"n = {n} has {N} candidate lengths, more than {sys.maxsize}")
+    if N > MAX_CANDIDATES:
+        raise ValueError(f"n = {n} has {N} candidate lengths, over the cap of {MAX_CANDIDATES}")
     if S.k == 2:
         counts = [1] * N  # every candidate is a length, of one factorization
     elif S.k == 3:

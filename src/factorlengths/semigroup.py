@@ -4,14 +4,16 @@ A numerical semigroup here is a generator tuple n1 < ... < nk of positive
 integers with gcd 1.  Three-generator semigroups additionally carry a unique
 minimal length-preserving trade (swap `mid` copies of the middle generator
 for `low` copies of the smallest plus `high` copies of the largest), whose
-common value is the trade element; the delta constant is the gcd of the
-pairwise generator differences and satisfies delta * element = n2 * (n3 - n1).
+common value is the trade element; the delta constant, set when a semigroup
+is made, is the gcd of the pairwise generator differences and satisfies
+delta * element = n2 * (n3 - n1).
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import sub
 from typing import NamedTuple
 
 
@@ -37,29 +39,27 @@ class TradeData(NamedTuple):
 
 class Semigroup(NamedTuple("Semigroup", [("gens", tuple[int, ...])])):
     """Sorted generators, validated on construction; equal and hashed by
-    value.  Instances keep a __dict__ for the cached delta and Apery set."""
+    value.  Construction also sets delta, the gcd of the pairwise generator
+    differences, in the instance __dict__ beside the lazy Apery set."""
 
     def __new__(cls, gens: tuple[int, ...]) -> Semigroup:
         gens = tuple(gens)
         if len(gens) < 2:
             raise InvalidGenerators(f"need at least 2 generators, got {gens}")
-        if any(not isinstance(g, int) or g <= 0 for g in gens):
+        if any(isinstance(g, bool) or not isinstance(g, int) or g <= 0 for g in gens):
             raise InvalidGenerators(f"generators must be positive integers: {gens}")
         if len(set(gens)) != len(gens):
             raise InvalidGenerators(f"duplicate generators: {gens}")
         gens = tuple(sorted(gens))
         if math.gcd(*gens) != 1:
             raise InvalidGenerators(f"gcd{gens} = {math.gcd(*gens)} != 1")
-        return super().__new__(cls, gens)
+        self = super().__new__(cls, gens)
+        self.delta = math.gcd(*map(sub, gens[1:], gens))
+        return self
 
     @property
     def k(self) -> int:
         return len(self.gens)
-
-    @cached_property
-    def delta(self) -> int:
-        """gcd of all pairwise generator differences (step of length sets)."""
-        return math.gcd(*(b - a for a, b in zip(self.gens, self.gens[1:])))
 
     @cached_property
     def apery(self) -> list[int]:
@@ -97,8 +97,9 @@ class Semigroup(NamedTuple("Semigroup", [("gens", tuple[int, ...])])):
 
 
 def make_semigroup(gens) -> Semigroup:
-    """Validate and sort a generator list into a Semigroup."""
-    return Semigroup(tuple(int(g) for g in gens))
+    """Validate and sort a generator list into a Semigroup; a float or a
+    bool is rejected, not converted."""
+    return Semigroup(gens)
 
 
 def parse_semigroup(text: str) -> Semigroup:
@@ -116,6 +117,13 @@ def contains(S: Semigroup, n: int) -> bool:
     return n >= 0 and n >= S.apery[n % S.gens[0]]
 
 
+def require_three(S: Semigroup) -> None:
+    """Raise ValueError unless S has exactly 3 generators, as the trade,
+    the fulcrum, the asymptotic constants and the verifiers need."""
+    if S.k != 3:
+        raise ValueError(f"operation requires exactly 3 generators, got {S.k}")
+
+
 def trade_data(S: Semigroup) -> TradeData:
     """Trade constants of a 3-generator semigroup.
 
@@ -123,8 +131,7 @@ def trade_data(S: Semigroup) -> TradeData:
     the minimal trade is low = d1/delta, high = d2/delta, mid = d3/delta,
     and the trade element is mid * n2.
     """
-    if S.k != 3:
-        raise ValueError(f"trade data requires exactly 3 generators, got {S.k}")
+    require_three(S)
     n1, n2, n3 = S.gens
     delta = S.delta
     low = (n3 - n2) // delta

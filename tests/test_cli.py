@@ -10,7 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from factorlengths import asymptotics, cli, constructions, experiments, invariants, semigroup
+from factorlengths import (
+    asymptotics, cli, constructions, experiments, factorization, invariants, semigroup,
+)
 from factorlengths.asymptotics import asymptotic_median
 from factorlengths.cli import main
 from factorlengths.exactnum import QuadNumber
@@ -58,6 +60,31 @@ class TestInvariants:
         code, out, err = run(capsys, "invariants", "-s", gens, "-n", n)
         assert code == 2 and out == ""
         assert err.startswith("error:") and n in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, gens, N", [
+        ("invariants", "4,7", 357142857142857143),
+        ("histogram", "6,9,20", 1166666666666666667),
+    ])
+    def test_candidate_cap_exits_2_before_allocating(self, capsys, command, gens, N):
+        """Below sys.maxsize but far beyond memory: refused before any list
+        is built, not a MemoryError or a process killed for its memory."""
+        n = 10**19
+        code, out, err = run(capsys, command, "-s", gens, "-n", str(n))
+        cap = factorization.MAX_CANDIDATES
+        assert (code, out) == (2, "")
+        assert err == f"error: n = {n} has {N} candidate lengths, over the cap of {cap}\n"
+
+    @pytest.mark.parametrize("gens, n, N", [("4,7", 100, 4), ("6,9,20", 132, 16),
+                                            ("4,5,6,7", 60, 7)])
+    def test_candidate_cap_is_inclusive(self, capsys, monkeypatch, gens, n, N):
+        """n has N candidate lengths: a cap of N lets it through, N - 1 does not."""
+        monkeypatch.setattr(factorization, "MAX_CANDIDATES", N)
+        code, out, _ = run(capsys, "invariants", "-s", gens, "-n", str(n))
+        assert code == 0 and json.loads(out)["n"] == n
+        monkeypatch.setattr(factorization, "MAX_CANDIDATES", N - 1)
+        code, out, err = run(capsys, "invariants", "-s", gens, "-n", str(n))
+        assert (code, out) == (2, "")
+        assert err == f"error: n = {n} has {N} candidate lengths, over the cap of {N - 1}\n"
 
 
 class TestHistogram:
@@ -271,6 +298,13 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "n_max" in err
 
+    @pytest.mark.parametrize("check", ["mode", "structure", "quasilinear"])
+    @pytest.mark.parametrize("gens, k", [("3,5", 2), ("4,5,6,7", 4)])
+    def test_needs_three_generators_exit_2(self, capsys, check, gens, k):
+        code, out, err = run(capsys, "verify", check, "-s", gens)
+        assert (code, out) == (2, "")
+        assert err == f"error: operation requires exactly 3 generators, got {k}\n"
+
     def test_empty_quasilinear_window_is_inconclusive(self, capsys):
         code, out, _ = run(capsys, "verify", "quasilinear", "-s", "7,16,25",
                            "--start", "-100", "--period", "32")
@@ -291,6 +325,7 @@ class TestUsageErrors:
         (("verify", "structure", "-s", "6,9,20", "--lo", "100", "--hi", "100"), "at least 2", None),
         (("construct", "sqrtd", "2", "--t-max", "0"), "t_max", None),
         (("construct", "sqrtd", "2", "--t-max", "-3"), "t_max", None),
+        (("construct", "sqrtd", "2", "0"), "need t >= 1, got 0", None),
         (("verify", "quasilinear", "-s", "6,9,20", "--max-checks", "0"), "max_checks", None),
         (("verify", "quasilinear", "-s", "6,9,20", "--max-checks", "-3"), "max_checks", None),
         (("sweep", "-s", "3,5,7", "--points", ","), "--points item ''", "invalid literal"),
@@ -298,7 +333,7 @@ class TestUsageErrors:
         (("sweep", "-s", "3,5,7", "--points", "5,x"), "--points item 'x'", "invalid literal"),
         (("sweep", "-s", "3,5,7", "--points", "100,2.5"), "--points item '2.5'", "invalid literal"),
     ], ids=["inverted-structure-window", "zero-terms", "zero-denominator",
-            "one-element-structure-window", "zero-t-max", "negative-t-max",
+            "one-element-structure-window", "zero-t-max", "negative-t-max", "zero-t",
             "zero-max-checks", "negative-max-checks", "empty-points-items", "empty-points",
             "non-integer-point", "fractional-point"])
     def test_usage_errors_exit_2(self, capsys, argv, named, not_named):

@@ -93,6 +93,23 @@ class TestIntegerHelpers:
             assert root * root * core == n
             assert all(e == 1 for e in sympy.factorint(core).values())
 
+    @pytest.mark.parametrize("n", [
+        100_003 * 100_019,
+        100_003**2,
+        100_019**3,
+        100_003 * 100_019 * 100_043,
+        (10**12 + 39) * (10**12 + 61),
+        2**5 * 3 * 100_043**2,
+    ], ids=["p*q", "p^2", "p^3", "p*q*r", "two-13-digit-primes", "small-times-p^2"])
+    def test_primes_past_trial_division(self, n):
+        """Every prime factor here is above the 10^5 trial-division bound,
+        so the perfect-square test and Pollard-Brent do the factoring."""
+        expected = dict(sympy.factorint(n))
+        assert factorize(n) == expected
+        root = math.prod(p ** (e // 2) for p, e in expected.items())
+        core = math.prod(p for p, e in expected.items() if e % 2)
+        assert squarefree_decompose(n) == (root, core)
+
 
 class TestQuadSqrt:
     def test_rational_root(self):
@@ -109,6 +126,17 @@ class TestQuadSqrt:
     def test_negative_radicand(self):
         with pytest.raises(ValueError):
             quad_sqrt(Fraction(-1, 4))
+
+    def test_matches_squarefree_decomposition(self):
+        """sqrt(p/q) = root/q * sqrt(core) where p*q = root**2 * core."""
+        rng = random.Random(31)
+        big = [100_003, 100_019, 100_043, 10**12 + 39]
+        for _ in range(100):
+            p = rng.randrange(1, 10**6) * rng.choice([1, *big]) ** rng.randrange(0, 3)
+            q = rng.randrange(1, 10**4) * rng.choice([1, *big])
+            r = Fraction(p, q)
+            root, core = squarefree_decompose(r.numerator * r.denominator)
+            assert quad_sqrt(r) == QuadNumber(Fraction(0), Fraction(root, r.denominator), core)
 
     def test_square_recovers_radicand_randomized(self):
         rng = random.Random(20260810)
@@ -136,6 +164,11 @@ class TestQuadNumber:
     def test_unit_radicand_folds_to_rational(self):
         q = QuadNumber(Fraction(1, 3), Fraction(5, 8), 9)  # 9 = 3**2
         assert q.is_rational and q.a == Fraction(1, 3) + Fraction(15, 8)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_non_positive_radicand_rejected(self, m):
+        with pytest.raises(ValueError, match=f"radicand {m} must be positive"):
+            QuadNumber(Fraction(0), Fraction(1), m)
 
     def test_rational_flag_requires_unit_radicand(self):
         q = QuadNumber(Fraction(1), Fraction(0), 5)

@@ -25,6 +25,8 @@ from factorlengths.factorization import length_multiset
 from factorlengths.invariants import mean_length, median_length
 from factorlengths.semigroup import make_semigroup
 
+from oracles import random_semigroup_3
+
 
 def brute_members(gens, hi: int) -> str:
     """'1' at index n exactly when 0 <= n <= hi is a sum of gens: a bit set
@@ -303,6 +305,14 @@ class TestQuasilinearityProbe:
         S = make_semigroup([7, 16, 25])
         assert candidate_periods(S) == [32, 2800, 806400]
 
+    def test_candidate_periods_strictly_ascend(self):
+        """The ladder never repeats a period, so it needs no deduplication."""
+        rng = random.Random(31)
+        for _ in range(200):
+            S = make_semigroup(random_semigroup_3(rng))
+            element, product, scale = candidate_periods(S)
+            assert element < product < scale, S
+
     def test_quasilinear_semigroup(self):
         verdict = probe_median_quasilinearity(make_semigroup([12, 15, 20]))
         assert verdict.verdict == "quasilinear"
@@ -380,6 +390,17 @@ class TestQuasilinearityProbe:
         assert verdict.verdict == "inconclusive"
         assert verdict.probes[0].checked == 0
         assert not verdict.probes[0].window_exhausted
+
+    @pytest.mark.parametrize("start, checked, exhausted", [(6, 0, False), (40, 2, True)])
+    def test_period_outside_semigroup_skips_the_element(self, start, checked, exhausted):
+        """Period 1 is not in <6,9,20>: elements n with n + 1 outside S (6, 9
+        and 42 here) are skipped, not compared.  Both windows read
+        inconclusive, the second because the median constant is irrational."""
+        verdict = probe_median_quasilinearity(make_semigroup([6, 9, 20]), periods=[1], start=start)
+        assert verdict.verdict == "inconclusive"
+        assert verdict.probes == (experiments.PeriodProbe(
+            period=1, window=(start, start + 3), checked=checked, witness=None,
+            window_exhausted=exhausted),)
 
     def test_budget_exhaustion_is_inconclusive(self):
         verdict = probe_median_quasilinearity(

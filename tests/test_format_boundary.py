@@ -6,8 +6,9 @@ a name it does not use, every public function or method of the package has
 a caller in the package or the scripts (or is exported in `__all__`) apart
 from two names the benchmark calls, the test oracles, which the
 benchmark loads too, import only the standard library and `QuadNumber`,
-and a fresh import of the package loads neither `dataclasses` nor
-`inspect`."""
+a fresh import of the package loads neither `dataclasses` nor `inspect`,
+only `semigroup` checks for three generators, and a semigroup's delta is
+an instance value set when it is made."""
 
 import ast
 import subprocess
@@ -15,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from factorlengths.semigroup import Semigroup, make_semigroup
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "factorlengths"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -97,6 +100,31 @@ def test_oracles_import_only_stdlib_and_package():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "factorlengths":
             from_package.update(a.name for a in node.names)
     assert from_package == {"QuadNumber"}
+
+
+def _checks_k_not_three(tree: ast.AST) -> bool:
+    """Whether tree spells `<expr>.k != 3`."""
+    return any(
+        isinstance(node, ast.Compare) and isinstance(node.left, ast.Attribute)
+        and node.left.attr == "k" and isinstance(node.ops[0], ast.NotEq)
+        and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value == 3
+        for node in ast.walk(tree)
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_three_generator_check_lives_in_semigroup(path):
+    """`semigroup.require_three` is the one k = 3 check; the counting
+    kernel's `S.k == 3` dispatch chooses a route and checks nothing."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _checks_k_not_three(tree) == (path.name == "semigroup.py")
+
+
+def test_delta_is_an_instance_value():
+    """Set once when the semigroup is made: no descriptor on the class
+    computes or caches it on a later read."""
+    S = make_semigroup([6, 9, 20])
+    assert vars(S)["delta"] == 1 and not hasattr(Semigroup, "delta")
 
 
 # Public API that only the benchmark reaches.  Test-only helpers live in

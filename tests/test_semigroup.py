@@ -5,8 +5,15 @@ import random
 
 import pytest
 
+from factorlengths.asymptotics import asymptotic_mean, asymptotic_median, fulcrum, scaled_sequence
 from factorlengths.cli import _semigroup_payload
 from factorlengths.constructions import find_sqrt_d_params, pythagorean_semigroup, sqrt_d_semigroup
+from factorlengths.experiments import (
+    candidate_periods,
+    probe_median_quasilinearity,
+    verify_mode_theorem,
+    verify_structure_theorem,
+)
 from factorlengths.semigroup import (
     InvalidGenerators,
     Semigroup,
@@ -52,6 +59,17 @@ class TestValidation:
             make_semigroup([0, 3])
         with pytest.raises(InvalidGenerators):
             make_semigroup([-2, 3])
+
+    @pytest.mark.parametrize("gens", [(6.7, 9, 20), (6.0, 9, 20), (True, 2), (3, False, 5)])
+    def test_non_integers_rejected_not_converted(self, gens):
+        """A float is not truncated and a bool is not read as 1 or 0."""
+        for build in (make_semigroup, Semigroup):
+            with pytest.raises(InvalidGenerators, match="must be positive integers"):
+                build(gens)
+
+    def test_parse_error_names_the_text(self):
+        with pytest.raises(InvalidGenerators, match=r"^cannot parse generators from '6\.7,9,20'$"):
+            parse_semigroup("6.7,9,20")
 
     def test_parse(self):
         assert parse_semigroup("6,9,20").gens == (6, 9, 20)
@@ -139,6 +157,22 @@ class TestTradeData:
     def test_requires_three_generators(self):
         with pytest.raises(ValueError):
             trade_data(make_semigroup([2, 3]))
+
+    @pytest.mark.parametrize("gens", [(2, 3), (4, 5, 6, 7)])
+    @pytest.mark.parametrize("operation", [
+        trade_data, fulcrum, asymptotic_mean, asymptotic_median,
+        lambda S: scaled_sequence(S, 0), candidate_periods,
+        lambda S: verify_mode_theorem(S, -1), verify_structure_theorem,
+        probe_median_quasilinearity,
+    ], ids=["trade_data", "fulcrum", "asymptotic_mean", "asymptotic_median",
+            "scaled_sequence", "candidate_periods", "verify_mode_theorem",
+            "verify_structure_theorem", "probe_median_quasilinearity"])
+    def test_one_wording_for_the_three_generator_check(self, gens, operation):
+        """Every operation of the three-generator theory refuses other k
+        first, before its other arguments, with one message."""
+        with pytest.raises(ValueError) as info:
+            operation(make_semigroup(gens))
+        assert str(info.value) == f"operation requires exactly 3 generators, got {len(gens)}"
 
     def test_invariants_on_random_semigroups(self):
         rng = random.Random(20260810)
